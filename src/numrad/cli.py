@@ -70,20 +70,51 @@ def read_matrix_file(path) -> dict[str, np.ndarray]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read matrix file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"matrix file {path} does not hold a JSON object")
     if doc.get("format_version") != MATRIX_FORMAT_VERSION:
         raise DomainError(f"unsupported matrix file version {doc.get('format_version')!r}")
+    entries = doc.get("matrices", [])
+    if not isinstance(entries, list):
+        raise DomainError("'matrices' must be a list")
     out: dict[str, np.ndarray] = {}
-    for entry in doc.get("matrices", []):
-        name = entry["name"]
-        n = int(entry["dim"])
-        data = entry["data"]
-        if len(data) != n * n:
-            raise DomainError(f"matrix {name!r}: expected {n * n} entries, got {len(data)}")
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-        if not np.isfinite(flat).all():
-            raise DomainError(f"matrix {name!r} has non-finite entries")
-        out[name] = flat.reshape(n, n)
+    for i, entry in enumerate(entries):
+        name, mat = _parse_matrix_entry(i, entry)
+        if name in out:
+            raise DomainError(f"duplicate matrix name {name!r}")
+        out[name] = mat
     return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _parse_matrix_entry(index: int, entry) -> tuple[str, np.ndarray]:
+    if not isinstance(entry, dict):
+        raise DomainError(f"matrix entry {index} is not a JSON object")
+    missing = [key for key in ("name", "dim", "data") if key not in entry]
+    if missing:
+        raise DomainError(f"matrix entry {index} lacks {', '.join(missing)}")
+    name, n, data = entry["name"], entry["dim"], entry["data"]
+    if not isinstance(name, str):
+        raise DomainError(f"matrix entry {index}: name must be a string, got {name!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"matrix {name!r}: dim must be a positive integer, got {n!r}")
+    if not isinstance(data, list):
+        raise DomainError(f"matrix {name!r}: data must be a list of [re, im] pairs")
+    if len(data) != n * n:
+        raise DomainError(f"matrix {name!r}: expected {n * n} entries, got {len(data)}")
+    for k, z in enumerate(data):
+        if not (isinstance(z, list) and len(z) == 2 and all(_is_number(v) for v in z)):
+            raise DomainError(f"matrix {name!r}: entry {k} is not a numeric [re, im] pair: {z!r}")
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    except OverflowError as exc:
+        raise DomainError(f"matrix {name!r}: entry out of double range ({exc})") from exc
+    if not np.isfinite(flat).all():
+        raise DomainError(f"matrix {name!r} has non-finite entries")
+    return name, flat.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

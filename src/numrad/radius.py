@@ -28,6 +28,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LOWER_OF_SUP = "lower-of-sup"
 UPPER_OF_INF = "upper-of-inf"
 
+# bytes of (rows, d, d) complex phase matrices handed to one batched
+# eigensolve in numerical_radius; bounds its working memory at any resolution
+_GRID_CHUNK_BYTES = 4 << 20
+
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator stream, split deterministically by key."""
@@ -69,6 +73,8 @@ class RadiusEstimate:
     witness2: np.ndarray | None = None
     converged: bool = True
     bound_side: str = LOWER_OF_SUP
+    # certified upper bound of the true value, where one is known
+    upper: float | None = None
 
 
 def _block_normalized(u: np.ndarray, blocks: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -193,17 +199,31 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 
     return 0.5 * (a + b)
 
 
+def _hermitian_eig(solver: Callable, h: np.ndarray):
+    """Run a numpy Hermitian eigensolver, reporting its failure as EigenFailure."""
+    try:
+        return solver(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
 def numerical_radius(
     t, resolution: int = 720, tol: Tolerances = DEFAULT_TOL
 ) -> RadiusEstimate:
     """Numerical radius estimate via phase maximization.
 
-    w(T) = max over theta of the top eigenvalue of
+    w(T) = max over theta of the top eigenvalue of H(theta) =
     cos(theta) (T+T*)/2 + sin(theta) i(T-T*)/2.  A uniform theta grid
     (default 720 points) finds the global bracket; golden-section search
-    inside the best three local-maximum brackets polishes it.  The value
+    inside the best three local-maximum brackets polishes it.  The grid is
+    decomposed in chunks of about 4 MiB of phase matrices, so memory stays
+    flat in the resolution.  For an even resolution only the first
+    half-turn is decomposed: H(theta + pi) = -H(theta), so the top
+    eigenvalue there is minus the bottom one at theta.  The value
     reported is |<T x, x>| at the top eigenvector of the best phase, a
-    certified lower bound of w(T) reproducible from the witness.
+    certified lower bound of w(T) reproducible from the witness; ``upper``
+    is the support-line bound max_k lambda_max(H(theta_k)) / cos(pi/m) of
+    the grid (Johnson, SIAM J. Numer. Anal. 15, 1978).
     """
     a = as_complex_matrix(t, tol)
     d = a.shape[0]
@@ -214,23 +234,27 @@ def numerical_radius(
     h1 = (a + a.conj().T) / 2.0
     h2 = 1j * (a - a.conj().T) / 2.0
     if max_abs(a) == 0.0:
-        return RadiusEstimate(0.0, e1)
+        return RadiusEstimate(0.0, e1, upper=0.0)
     if d == 1:
-        return RadiusEstimate(abs(complex(a[0, 0])), e1)
+        value = abs(complex(a[0, 0]))
+        return RadiusEstimate(value, e1, upper=value)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    try:
-        hs = (
-            np.cos(thetas)[:, None, None] * h1[None]
-            + np.sin(thetas)[:, None, None] * h2[None]
-        )
-        lam = np.linalg.eigvalsh(hs)[:, -1]
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    half = resolution // 2 if resolution % 2 == 0 else resolution
+    rows = max(1, _GRID_CHUNK_BYTES // (16 * d * d))
+    lam = np.empty(resolution)
+    for s in range(0, half, rows):
+        e = min(s + rows, half)
+        hs = cos_t[s:e, None, None] * h1[None] + sin_t[s:e, None, None] * h2[None]
+        ev = _hermitian_eig(np.linalg.eigvalsh, hs)
+        lam[s:e] = ev[:, -1]
+        if half < resolution:
+            lam[half + s : half + e] = -ev[:, 0]
 
     def lam_max(theta: float) -> float:
         h = math.cos(theta) * h1 + math.sin(theta) * h2
-        return float(np.linalg.eigvalsh(h)[-1])
+        return float(_hermitian_eig(np.linalg.eigvalsh, h)[-1])
 
     left = np.roll(lam, 1)
     right = np.roll(lam, -1)
@@ -246,13 +270,14 @@ def numerical_radius(
         theta0 = float(thetas[k])
         theta_star = _golden_max(lam_max, theta0 - step, theta0 + step)
         h = math.cos(theta_star) * h1 + math.sin(theta_star) * h2
-        w, v = np.linalg.eigh(h)
+        _, v = _hermitian_eig(np.linalg.eigh, h)
         x = v[:, -1]
         val = abs(complex(np.vdot(x, a @ x)))
         if val > best_val:
             best_val = val
             best_vec = x
-    return RadiusEstimate(best_val, best_vec)
+    upper = float(lam.max()) / math.cos(math.pi / resolution)
+    return RadiusEstimate(best_val, best_vec, upper=upper)
 
 
 @dataclass(frozen=True)

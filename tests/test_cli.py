@@ -1,6 +1,7 @@
 """Command-line interface: file formats, exit codes, golden headers."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,55 @@ class TestMatrixFiles:
     def test_version_check(self, tmp_path):
         p = tmp_path / "v.json"
         p.write_text(json.dumps({"format_version": "2", "matrices": []}))
+        from numrad.errors import DomainError
+
+        with pytest.raises(DomainError):
+            read_matrix_file(p)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"dim": 1, "data": [[1.0, 0.0]]}, "lacks name"),
+            ({"name": "A", "data": [[1.0, 0.0]]}, "lacks dim"),
+            ({"name": "A", "dim": 1}, "lacks data"),
+            ({"name": "A", "dim": "1", "data": [[1.0, 0.0]]}, "dim must be"),
+            ({"name": "A", "dim": 1.5, "data": [[1.0, 0.0]]}, "dim must be"),
+            ({"name": "A", "dim": True, "data": [[1.0, 0.0]]}, "dim must be"),
+            ({"name": "A", "dim": 0, "data": []}, "dim must be"),
+            ({"name": 7, "dim": 1, "data": [[1.0, 0.0]]}, "name must be"),
+            ({"name": "A", "dim": 1, "data": [["1", 0.0]]}, "numeric [re, im] pair"),
+            ({"name": "A", "dim": 1, "data": [[1.0, 0.0, 2.0]]}, "numeric [re, im] pair"),
+            ({"name": "A", "dim": 1, "data": [1.0]}, "numeric [re, im] pair"),
+            ({"name": "A", "dim": 1, "data": [[None, 0.0]]}, "numeric [re, im] pair"),
+            ({"name": "A", "dim": 1, "data": [[10**400, 0.0]]}, "out of double range"),
+            ({"name": "A", "dim": 1, "data": "1,0"}, "data must be"),
+            ("A", "not a JSON object"),
+        ],
+    )
+    def test_malformed_entry_exits_one(self, tmp_path, capsys, entry, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"format_version": "1", "matrices": [entry]}))
+        from numrad.errors import DomainError
+
+        with pytest.raises(DomainError, match=re.escape(message)):
+            read_matrix_file(p)
+        assert main(["radius", "--input", str(p), "--names", "A"]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_duplicate_name(self, tmp_path, capsys):
+        p = tmp_path / "dup.json"
+        write_matrix_file(p, [("A", np.eye(2)), ("A", 2 * np.eye(2))])
+        from numrad.errors import DomainError
+
+        with pytest.raises(DomainError, match="duplicate matrix name 'A'"):
+            read_matrix_file(p)
+        assert main(["radius", "--input", str(p), "--names", "A"]) == 1
+        assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[], {"format_version": "1", "matrices": {}}])
+    def test_malformed_document(self, tmp_path, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
         from numrad.errors import DomainError
 
         with pytest.raises(DomainError):

@@ -1,9 +1,14 @@
 """Radius estimation and sphere optimization."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from numrad.errors import DimensionMismatch, DomainError, ObjectiveError
+from numrad import radius
+from numrad.errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
+from numrad.harness import GENERAL_KINDS, EnsembleSpec, gen_matrix
 from numrad.linalg import op_norm
 from numrad.radius import (
     LOWER_OF_SUP,
@@ -27,6 +32,26 @@ def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def ensemble_mix(count=200):
+    """Dims 2-6 over every general kind, seeded as the acceptance radius check."""
+    return [
+        gen_matrix(EnsembleSpec(GENERAL_KINDS[k % len(GENERAL_KINDS)], 2 + k % 5, seed=1000 + k))
+        for k in range(count)
+    ]
+
+
+def grid_top_eigenvalue(t, points):
+    """max_k lambda_max(H(theta_k)) over a uniform grid, every phase decomposed."""
+    h1 = (t + t.conj().T) / 2.0
+    h2 = 1j * (t - t.conj().T) / 2.0
+    thetas = 2.0 * math.pi * np.arange(points) / points
+    best = -math.inf
+    for s in range(0, points, 2000):
+        th = thetas[s : s + 2000, None, None]
+        best = max(best, float(np.linalg.eigvalsh(np.cos(th) * h1 + np.sin(th) * h2)[:, -1].max()))
+    return best
+
+
 class TestNumericalRadius:
     def test_identity(self):
         est = numerical_radius(np.eye(4))
@@ -45,10 +70,12 @@ class TestNumericalRadius:
     def test_zero_matrix(self):
         est = numerical_radius(np.zeros((3, 3)))
         assert est.value == 0.0
+        assert est.upper == 0.0
 
     def test_one_by_one(self):
         est = numerical_radius(np.array([[3 - 4j]]))
         assert est.value == pytest.approx(5.0, abs=1e-14)
+        assert est.upper == est.value
 
     def test_norm_bracket(self):
         rng = np.random.default_rng(21)
@@ -91,6 +118,78 @@ class TestNumericalRadius:
     def test_resolution_guard(self):
         with pytest.raises(DomainError):
             numerical_radius(np.eye(2), resolution=4)
+
+
+class TestPhaseGrid:
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        mats = [random_complex(rng, d) for d in (2, 3, 5, 8, 17, 40)]
+        cases = [(t, m) for t in mats for m in (720, 721, 2880)]
+        default = [numerical_radius(t, resolution=m) for t, m in cases]
+        monkeypatch.setattr(radius, "_GRID_CHUNK_BYTES", 1)  # one phase per eigensolve
+        for (t, m), ref in zip(cases, default):
+            est = numerical_radius(t, resolution=m)
+            assert est.value == ref.value
+            assert np.array_equal(est.witness, ref.witness)
+            assert est.upper == ref.upper
+
+    def test_odd_resolution_matches_even(self):
+        # every kind at m=721; at m=9 a bracket spans 80 degrees, which only
+        # resolves the global maximum where lambda_max(theta) is smooth, so
+        # that case uses generic (non-normal) matrices
+        mix = [(t, 721) for t in ensemble_mix(70)]
+        rng = np.random.default_rng(42)
+        mix += [(random_complex(rng, 2 + k % 5), 9) for k in range(30)]
+        for t, m in mix:
+            ref = numerical_radius(t, resolution=720).value
+            est = numerical_radius(t, resolution=m)
+            assert abs(est.value - ref) <= 1e-9 * max(ref, 1e-300)
+            again = abs(np.vdot(est.witness, t @ est.witness))
+            assert abs(again - est.value) <= 1e-12 * max(1.0, est.value)
+
+    def test_grid_memory_is_bounded(self):
+        t = gen_matrix(EnsembleSpec("ginibre", 64, seed=7))
+        tracemalloc.start()
+        try:
+            numerical_radius(t, resolution=2880)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (2880, 64, 64) complex array alone is 189 MB: the grid must never exist whole
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("solver, batched", [
+        ("eigvalsh", True),  # the phase grid
+        ("eigvalsh", False),  # the golden-section objective
+        ("eigh", False),  # the witness at the polished phase
+    ])
+    def test_solver_failure_is_eigen_failure(self, monkeypatch, solver, batched):
+        real = getattr(np.linalg, solver)
+
+        def failing(h):
+            if (h.ndim == 3) == batched:
+                raise np.linalg.LinAlgError("did not converge")
+            return real(h)
+
+        monkeypatch.setattr(np.linalg, solver, failing)
+        with pytest.raises(EigenFailure, match="did not converge"):
+            numerical_radius(random_complex(np.random.default_rng(43), 4))
+
+
+class TestCertifiedUpper:
+    def test_brackets_the_value_tightly(self):
+        for t in ensemble_mix():
+            est = numerical_radius(t)
+            assert est.value <= est.upper <= est.value * (1.0 + 1e-4)
+
+    def test_dominates_a_dense_grid(self):
+        for t in ensemble_mix(35):
+            assert numerical_radius(t).upper >= grid_top_eigenvalue(t, 20_000)
+
+    def test_normal_matrix(self):
+        lam = np.array([1.0, -3.0, 2.0j, 0.5 - 0.5j])
+        est = numerical_radius(np.diag(lam), resolution=16)
+        assert 3.0 <= est.upper <= 3.0 / math.cos(math.pi / 16) * (1.0 + 1e-15)
 
 
 class TestWpRadius:
