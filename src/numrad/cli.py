@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -321,8 +322,19 @@ def cmd_bound(args) -> int:
             "status": result.status,
             "extras": result.extras,
         }
-    print(json.dumps(record, allow_nan=True))
+    print(json.dumps(_nan_to_null(record), allow_nan=False))
     return 0
+
+
+def _nan_to_null(value):
+    """Replace every non-finite float, at any depth, by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def cmd_gen(args) -> int:

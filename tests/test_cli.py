@@ -9,6 +9,7 @@ import pytest
 from numrad.cli import (
     GAIN_COLUMNS,
     REPORT_COLUMNS,
+    _nan_to_null,
     main,
     math_failures,
     read_matrix_file,
@@ -23,6 +24,13 @@ GOLDEN_HEADER = (
 )
 
 GOLDEN_GAIN_HEADER = "theorem,trials,min_gain,mean_gain,max_gain,violations"
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def _record(**over):
@@ -197,9 +205,16 @@ class TestBound:
                    "--operands", "I,I,X", "--nu", "0.5", "--r", "2", "--N", "1"])
         out = capsys.readouterr().out
         assert rc == 0
-        rec = json.loads(out)
+        rec = _strict_json(out)
         assert rec["refinement_upper"] == pytest.approx(0.0, abs=1e-12)
         assert rec["status"] in ("verified-pointwise", "consistent")
+        assert rec["p"] is None and rec["q"] is None
+        assert list(rec)[:4] == ["theorem", "dim", "n_ops", "nu_or_alpha"]
+
+    def test_non_finite_nested_values_become_null(self):
+        rec = {"a": float("nan"), "extras": {"b": [1.5, float("-inf")], "c": np.float64("inf")}}
+        out = json.dumps(_nan_to_null(rec), allow_nan=False)
+        assert _strict_json(out) == {"a": None, "extras": {"b": [1.5, None], "c": None}}
 
     def test_cor215_cartesian(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -207,7 +222,7 @@ class TestBound:
         rc = main(["bound", "--theorem", "cor2.15", "--input", str(path), "--operands", "A"])
         out = capsys.readouterr().out
         assert rc == 0
-        rec = json.loads(out)
+        rec = _strict_json(out)
         assert rec["w_squared"] == pytest.approx(0.25, abs=1e-9)
         assert rec["half_norm"] == pytest.approx(0.5, abs=1e-12)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from numrad.errors import (
     DimensionMismatch,
@@ -18,9 +20,11 @@ from numrad.linalg import (
     as_complex_matrix,
     hermitian_eigen,
     op_norm,
+    pair_forms_many,
     psd_power,
     quad_form,
     quad_form_real,
+    quad_forms_many,
     spectral_apply,
 )
 
@@ -236,6 +240,86 @@ class TestQuadForm:
             assert abs(quad_form(h, x).imag) <= 1e-12 * max(1.0, abs(quad_form(h, x)))
             p = g.conj().T @ g
             assert quad_form_real(p, x) >= -1e-10 * max(1.0, np.abs(p).max())
+
+    def test_real_passes_for_hermitian(self):
+        rng = np.random.default_rng(11)
+        g = random_complex(rng, 5)
+        h = (g + g.conj().T) / 2
+        x = 3.0 * g[:, 1]
+        assert quad_form_real(h, x) == pytest.approx(np.vdot(x, h @ x).real, rel=1e-12)
+
+    def test_real_rejects_imaginary_form(self):
+        x = np.array([1.0, 1.0j]) / np.sqrt(2)
+        assert quad_form(NIL, x) == pytest.approx(0.5j, abs=1e-15)
+        with pytest.raises(DomainError, match="imaginary part"):
+            quad_form_real(NIL, x)
+
+
+def _layout(arr, how):
+    """The values of ``arr`` in C order, in Fortran order, or as a column
+    slice of a wider, NaN-padded array (rows not contiguous)."""
+    if how == "fortran":
+        return np.asfortranarray(arr)
+    if how == "slice":
+        m, d = arr.shape
+        wide = np.full((m, d + 3), np.nan + 0j)
+        wide[:, 2 : 2 + d] = arr
+        return wide[:, 2 : 2 + d]
+    return arr
+
+
+@st.composite
+def form_batches(draw):
+    """(a, xs, ys): a d x d complex matrix and two m x d batches of rows."""
+    d = draw(st.one_of(st.sampled_from([1, 64]), st.integers(1, 64)))
+    m = draw(st.one_of(st.sampled_from([0, 1, 300]), st.integers(2, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layouts = st.sampled_from(["c", "fortran", "slice"])
+    a = _layout(random_complex(rng, d), draw(layouts))
+    xs = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    ys = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    return a, _layout(xs, draw(layouts)), _layout(ys, draw(layouts))
+
+
+def _loop_pair_forms(a, xs, ys):
+    """Reference: <Ax_k, y_k> = y_k* A x_k, one row at a time."""
+    return np.array([np.vdot(y, a @ x) for x, y in zip(xs, ys)], dtype=complex)
+
+
+def _form_tol(a, xs, ys):
+    return 1e-12 * np.linalg.norm(a) * np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
+
+
+class TestBatchedForms:
+    @given(form_batches())
+    def test_pair_forms_match_loop(self, batch):
+        a, xs, ys = batch
+        got = pair_forms_many(a, xs, ys)
+        assert got.shape == (xs.shape[0],)
+        assert np.all(np.abs(got - _loop_pair_forms(a, xs, ys)) <= _form_tol(a, xs, ys))
+
+    @given(form_batches())
+    def test_quad_forms_match_loop(self, batch):
+        a, xs, _ = batch
+        got = quad_forms_many(a, xs)
+        assert got.shape == (xs.shape[0],)
+        assert np.all(np.abs(got - _loop_pair_forms(a, xs, xs)) <= _form_tol(a, xs, xs))
+
+    @given(form_batches())
+    def test_psd_quad_many_matches_loop(self, batch):
+        g, xs, _ = batch
+        p = PsdMatrix.from_matrix(g.conj().T @ g)
+        got = p.quad_many(xs)
+        want = np.maximum(_loop_pair_forms(p.mat, xs, xs).real, 0.0)
+        assert got.shape == (xs.shape[0],)
+        assert got.dtype == np.float64 and np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= _form_tol(p.mat, xs, xs))
+
+    def test_quad_many_clamps_negative_at_zero(self):
+        # not PSD: built directly, so the form is negative on e_2
+        p = PsdMatrix(np.diag([2.0, -1.0]).astype(complex), np.array([-1.0, 2.0]), np.eye(2))
+        got = p.quad_many(np.eye(2, dtype=complex))
+        np.testing.assert_array_equal(got, [2.0, 0.0])
 
 
 class TestValidation:
