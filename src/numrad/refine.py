@@ -6,10 +6,13 @@ k_j = floor(2^(j-1) nu); its weight equals the distance from 2^(j-1) nu
 to the nearest integer, so every weight is nonnegative and all weights
 vanish exactly when nu is dyadic of level <= j.  The level-1 truncation
 recovers the classical min(nu, 1-nu) * (sqrt(a) - sqrt(b))^2 correction.
+The level weights and bracket exponents of each (nu, levels, mode) are
+computed once and cached; the batched kernel only raises a and b to them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,17 +85,30 @@ def printed_heinz_weight(li: LevelIndices) -> float:
     return sign * 2.0 ** (li.level - 1) - sign * ((li.r + 1) // 2)
 
 
-def _bracket_sq(a: np.ndarray, b: np.ndarray, li: LevelIndices) -> np.ndarray:
-    """Squared level bracket on nonnegative scalars (vectorized)."""
-    two_j = 2.0**li.level
-    half = 2.0 ** (li.level - 1)
-    e_b1 = (half - li.k) / two_j
-    e_a1 = li.k / two_j
-    e_a2 = (li.k + 1) / two_j
-    e_b2 = (half - li.k - 1) / two_j
-    # e_b2 < 0 only at nu = 1 where the weight vanishes; callers skip that.
-    t = b**e_b1 * a**e_a1 - a**e_a2 * b**e_b2
-    return t * t
+@functools.lru_cache(maxsize=256)
+def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], ...]:
+    """Weight and bracket exponents (w, e_b1, e_a1, e_a2, e_b2) of each level with w != 0.
+
+    Level j's squared bracket is (b^e_b1 a^e_a1 - a^e_a2 b^e_b2)^2.  e_b2 < 0
+    only where 2^j nu snaps to 2^j: at nu = 1, where the weight vanishes and
+    the level is skipped, and within the snap tolerance below it.
+    """
+    terms = []
+    for j in range(1, levels + 1):
+        li = level_indices(j, nu)
+        if mode == "young":
+            w = li.weight
+        elif mode == "half":
+            w = 0.5
+        elif mode == "printed_heinz":
+            w = printed_heinz_weight(li)
+        else:
+            raise DomainError(f"unknown weight mode {mode!r}")
+        if w == 0.0:
+            continue
+        two_j, half, k = 2.0**j, 2.0 ** (j - 1), li.k
+        terms.append((w, (half - k) / two_j, k / two_j, (k + 1) / two_j, (half - k - 1) / two_j))
+    return tuple(terms)
 
 
 def weighted_bracket_sum(
@@ -110,19 +126,9 @@ def weighted_bracket_sum(
     a = np.maximum(np.asarray(a, dtype=np.float64), 0.0)
     b = np.maximum(np.asarray(b, dtype=np.float64), 0.0)
     out = np.zeros(np.broadcast(a, b).shape, dtype=np.float64)
-    for j in range(1, int(levels) + 1):
-        li = level_indices(j, nu)
-        if mode == "young":
-            w = li.weight
-        elif mode == "half":
-            w = 0.5
-        elif mode == "printed_heinz":
-            w = printed_heinz_weight(li)
-        else:
-            raise DomainError(f"unknown weight mode {mode!r}")
-        if w == 0.0:
-            continue
-        out = out + w * _bracket_sq(a, b, li)
+    for w, e_b1, e_a1, e_a2, e_b2 in _level_terms(float(nu), int(levels), mode):
+        t = b**e_b1 * a**e_a1 - a**e_a2 * b**e_b2
+        out = out + w * (t * t)
     return out
 
 

@@ -1,5 +1,6 @@
 """Radius estimation and sphere optimization."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -8,8 +9,8 @@ import pytest
 
 from numrad import radius
 from numrad.errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
-from numrad.harness import GENERAL_KINDS, EnsembleSpec, gen_matrix
-from numrad.linalg import op_norm
+from numrad.harness import GENERAL_KINDS, EnsembleSpec, SuiteConfig, gen_matrix
+from numrad.linalg import abs_adj, abs_op, op_norm, pair_forms_many
 from numrad.radius import (
     LOWER_OF_SUP,
     UPPER_OF_INF,
@@ -23,6 +24,7 @@ from numrad.radius import (
     we_radius,
     wp_radius,
 )
+from numrad.refine import weighted_bracket_sum
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 CFG = SphereOptConfig(restarts=16, max_iters=250, seed=1234)
@@ -191,6 +193,29 @@ class TestCertifiedUpper:
         est = numerical_radius(np.diag(lam), resolution=16)
         assert 3.0 <= est.upper <= 3.0 / math.cos(math.pi / 16) * (1.0 + 1e-15)
 
+    def test_coarse_grid_stays_certified(self):
+        # below about 16 phases the polish may settle on a lower peak, but
+        # the value is still attained and the grid bound still holds.  For a
+        # Hermitian T with a negative dominant eigenvalue and odd m the bound
+        # is exact (the nearest phases straddle pi), so it meets the value
+        # up to rounding: allow a few ulps there
+        slack = 1.0 + 1e-14
+        for t in ensemble_mix(140):
+            fine = numerical_radius(t, resolution=4000).value
+            for m in range(8, 17):
+                est = numerical_radius(t, resolution=m)
+                assert est.value <= est.upper * slack
+                assert fine <= est.upper * slack
+
+    def test_coarse_grid_can_miss_the_peak(self):
+        t = gen_matrix(EnsembleSpec("diagonal", 3, seed=1181))
+        w = float(np.abs(np.diag(t)).max())  # normal: w is the spectral radius
+        assert numerical_radius(t).value == pytest.approx(w, rel=1e-12)
+        for m in (9, 11):
+            est = numerical_radius(t, resolution=m)
+            assert est.value == pytest.approx(1.1774684045406345, rel=1e-12)
+            assert est.value < w <= est.upper
+
 
 class TestWpRadius:
     def test_collapses_to_numerical_radius(self):
@@ -301,6 +326,178 @@ class TestMinimizePair:
 
         est = minimize_over_sphere_pair(None, 2, CFG, objective_batch=fb)
         assert est.value == pytest.approx(0.0, abs=1e-6)
+
+
+class TestSphereOptConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 0),
+        ("max_iters", 0),
+        ("fd_step", -1e-6),  # would flip the gradient
+        ("fd_step", 0.0),
+        ("fd_step", math.inf),
+        ("fd_step", math.nan),
+        ("init_step", 0.0),  # would return the random start as converged
+        ("init_step", -0.1),
+        ("init_step", 1.5),
+        ("init_step", math.inf),
+        ("init_step", math.nan),
+        ("step_tol", -1e-9),
+        ("step_tol", math.inf),
+        ("step_tol", math.nan),
+    ])
+    def test_bad_value_is_domain_error(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SphereOptConfig(**{field: value})
+
+    def test_defaults_and_edges_are_valid(self):
+        SphereOptConfig()
+        SuiteConfig()
+        SphereOptConfig(step_tol=0.0, init_step=1.0, fd_step=1e-300)
+
+
+class TestSearchLoopEdges:
+    def test_zero_block_becomes_e1(self):
+        u = np.zeros((2, 4))
+        assert radius._normalize_blocks(u, [(0, 4)]) is u
+        assert np.array_equal(u, [[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
+        pair = np.zeros((3, 8))
+        pair[1, 5] = -2.0
+        pair[2, 2] = 3.0
+        radius._normalize_blocks(pair, [(0, 4), (4, 8)])
+        assert np.array_equal(pair, [
+            [1.0, 0, 0, 0, 1.0, 0, 0, 0],
+            [1.0, 0, 0, 0, 0, -1.0, 0, 0],
+            [0, 0, 1.0, 0, 1.0, 0, 0, 0],
+        ])
+
+    def test_norm_matches_linalg_norm_bits(self):
+        rng = np.random.default_rng(44)
+        for width in (2, 4, 12, 32, 128):
+            u = rng.standard_normal((50, 2 * width))
+            ref = u.copy()
+            for s, e in ((0, width), (width, 2 * width)):
+                ref[:, s:e] /= np.linalg.norm(ref[:, s:e], axis=1, keepdims=True)
+            radius._normalize_blocks(u, [(0, width), (width, 2 * width)])
+            assert u.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_nan_in_one_row_raises(self, pair):
+        def f(*zs):
+            return np.where(np.arange(len(zs[0])) == 1, np.nan, 0.0)
+
+        search = minimize_over_sphere_pair if pair else minimize_over_sphere
+        with pytest.raises(ObjectiveError):
+            search(None, 2, CFG, objective_batch=f)
+
+    def test_opposite_infinities_do_not_raise(self):
+        # their sum is NaN, so the exact scan decides: there is no NaN
+        def f(xs):
+            return np.where(np.arange(len(xs)) % 2 == 0, np.inf, -np.inf)
+
+        cfg = SphereOptConfig(restarts=4, max_iters=3, seed=1)
+        with np.errstate(invalid="ignore"):
+            est = minimize_over_sphere(None, 2, cfg, objective_batch=f)
+        assert math.isinf(est.value)
+
+
+# Pinned outputs of the sphere search: (value.hex(), converged, sha256 of
+# the witness bytes, sha256 of the witness2 bytes).
+# Any change to the rows that reach an objective, or to the arithmetic that
+# produces a kept value, shows up here.  The digests assume IEEE doubles and
+# the BLAS the suite runs with.
+SEARCH_PINS = {
+    ("wp1", 2): (
+        "0x1.4a7e12e13a5cap+2", True,
+        "7d2cb5291ff6ab1067113508040909dc378193a01acf71dad1d080f5da216790",
+        None,
+    ),
+    ("wp2", 2): (
+        "0x1.df5bfbe9895d2p+1", True,
+        "5e17e13f73dac547de2dc2ed2230eb40202875e7fe6800715b0e13b1637f1996",
+        None,
+    ),
+    ("sphere", 2): (
+        "0x1.6a4cf2c0120e0p-5", True,
+        "0d318a178f1953c34a1ef84754948d8fd5e1eb47fab3efc21b8adcce88d22570",
+        None,
+    ),
+    ("pair", 2): (
+        "0x1.01c2a550760ccp-68", True,
+        "c8689a2d718952a292aa5e6a96e225c1b966e33aef5e169bf5f7acffb5fb590f",
+        "955d5813a37a191e51a8fb9d4031a3dab42765a02ce17760737a006b51a7ab33",
+    ),
+    ("wp1", 6): (
+        "0x1.a6b4eee824501p+2", False,
+        "f594f3e5c4d7fe3dd67dda621d20c4e3dc129b1c3e31916df246498e09945878",
+        None,
+    ),
+    ("wp2", 6): (
+        "0x1.3b9fe25b95056p+2", True,
+        "272cf0a4853a8e25d0ad65e65903ca82d2ec4f5fb70f62e0fdeb5efa0a011200",
+        None,
+    ),
+    ("sphere", 6): (
+        "0x1.cd2e17cda1083p-4", False,
+        "a871d3130bdd2bbda395fe88f5b2eb999d4b905c00246058a751e4ae25be677f",
+        None,
+    ),
+    ("pair", 6): (
+        "0x1.e16fed32a35ccp-23", False,
+        "70a10ebc819d915e22c5726a6b50c2f3d7885c7c7d5f33ab2c9171269c2cf722",
+        "e7af1f8da9855a8513e8a3d251330598217bbaffc805bb3b0eb3c9d33bfb048e",
+    ),
+    ("wp1", 16): (
+        "0x1.9bc0a7c174136p+3", False,
+        "c2dd643a008d91126dff9ed04e6ed17b0f557c98a6d159ad3beb5c7961c785c1",
+        None,
+    ),
+    ("wp2", 16): (
+        "0x1.2336aa4aa4f4dp+3", False,
+        "8d57f26af75454322c1b6d8abdb6a3cf7b03d19200589a81ae11c76fef5603c9",
+        None,
+    ),
+    ("sphere", 16): (
+        "0x1.4d66ec446b525p-3", False,
+        "c801168f513b06fd456b8c2fd171d310d7c82362b4aae4a3b0419e22adca0052",
+        None,
+    ),
+    ("pair", 16): (
+        "0x1.fdb5acc425bc2p-20", False,
+        "9561ba539cd396884bc86d3a39f55bcc5c771c96bc53a4060f9a98b0a7284718",
+        "21eb713efde5fa8cae41140f8563c1993c419bbbcb8dc17456a369a5ee594b80",
+    ),
+}
+
+
+def _pinned_search(name, d):
+    rng = np.random.default_rng(500 + d)
+    t1, t2 = (random_complex(rng, d) for _ in range(2))
+    cfg = SphereOptConfig(restarts=6, max_iters=60, seed=d)
+    a, b = abs_op(t1), abs_adj(t2)
+    if name in ("wp1", "wp2"):
+        return wp_radius([t1, t2], float(name[2]), cfg)
+    if name == "sphere":
+        def eta(xs):
+            qa = a.quad_many(xs)
+            return weighted_bracket_sum(qa, b.quad_many(xs), 0.3, 3) + 0.1 * qa
+        return minimize_over_sphere(None, d, cfg, objective_batch=eta)
+
+    def lam(xs, ys):
+        br = weighted_bracket_sum(a.quad_many(xs), b.quad_many(ys), 0.7, 2)
+        return br + np.abs(pair_forms_many(t1, xs, ys)) ** 2
+
+    return minimize_over_sphere_pair(None, d, cfg, objective_batch=lam)
+
+
+@pytest.mark.parametrize("name, d", list(SEARCH_PINS))
+def test_sphere_search_is_pinned(name, d):
+    est = _pinned_search(name, d)
+
+    def digest(v):
+        return None if v is None else hashlib.sha256(v.tobytes()).hexdigest()
+
+    got = (est.value.hex(), est.converged, digest(est.witness), digest(est.witness2))
+    assert got == SEARCH_PINS[name, d]
 
 
 def test_rng_streams_are_stable():

@@ -246,3 +246,57 @@ def test_weighted_bracket_sum_zero_inputs():
     assert np.isfinite(vals).all()
     vals = weighted_bracket_sum([0.0], [0.0], 0.7, 3)
     assert vals[0] == 0.0
+
+
+def _bracket_sum_reference(a, b, nu, levels, mode):
+    """The per-call level loop that the cached terms replace."""
+    a = np.maximum(np.asarray(a, dtype=np.float64), 0.0)
+    b = np.maximum(np.asarray(b, dtype=np.float64), 0.0)
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.float64)
+    for j in range(1, levels + 1):
+        li = level_indices(j, nu)
+        w = {"young": li.weight, "half": 0.5, "printed_heinz": printed_heinz_weight(li)}[mode]
+        if w == 0.0:
+            continue
+        two_j = 2.0**li.level
+        half = 2.0 ** (li.level - 1)
+        e_b1 = (half - li.k) / two_j
+        e_a1 = li.k / two_j
+        e_a2 = (li.k + 1) / two_j
+        e_b2 = (half - li.k - 1) / two_j
+        t = b**e_b1 * a**e_a1 - a**e_a2 * b**e_b2
+        out = out + w * (t * t)
+    return out
+
+
+class TestCachedLevelTerms:
+    A = np.concatenate([[0.0, 1e-12, 0.3, 1.0, 2.5, 40.0, -1.0],
+                        np.random.default_rng(61).uniform(0.0, 10.0, 60)])
+    B = np.concatenate([[0.0, 2.0, 1e-9, 1.0, 0.7, 3.0, 5.0],
+                        np.random.default_rng(62).uniform(0.0, 10.0, 60)])
+
+    @pytest.mark.parametrize("mode", ["young", "half", "printed_heinz"])
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.3, 0.5, 1.0 - 1e-13, 1.0])
+    def test_bits_match_the_level_loop(self, nu, mode):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for levels in range(1, MAX_LEVELS + 1):
+                got = weighted_bracket_sum(self.A, self.B, nu, levels, mode)
+                ref = _bracket_sum_reference(self.A, self.B, nu, levels, mode)
+                assert got.tobytes() == ref.tobytes()
+                scalar = weighted_bracket_sum(0.4, 1.7, nu, levels, mode)
+                assert float(scalar) == float(_bracket_sum_reference(0.4, 1.7, nu, levels, mode))
+
+    @pytest.mark.parametrize("nu", [np.float64(0.3), np.array(0.3)])
+    def test_numpy_nu_is_the_float_nu(self, nu):
+        for levels in (1, 4, MAX_LEVELS):
+            got = weighted_bracket_sum(self.A, self.B, nu, levels)
+            assert got.tobytes() == weighted_bracket_sum(self.A, self.B, 0.3, levels).tobytes()
+
+    def test_bad_arguments_still_raise(self):
+        with pytest.raises(DomainError):
+            weighted_bracket_sum(self.A, self.B, 0.3, 2, mode="heinz")
+        for nu in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                weighted_bracket_sum(self.A, self.B, nu, 2)
+        with pytest.raises(DomainError):
+            weighted_bracket_sum(self.A, self.B, 0.3, MAX_LEVELS + 1)
