@@ -79,7 +79,7 @@ class RadiusEstimate:
     witness2: np.ndarray | None = None
     converged: bool = True
     bound_side: str = LOWER_OF_SUP
-    # certified upper bound of the true value, where one is known
+    # upper bound of the true value, certified up to rounding, where known
     upper: float | None = None
 
 
@@ -219,10 +219,11 @@ def numerical_radius(
     reported is |<T x, x>| at the top eigenvector of the best phase, a
     certified lower bound of w(T) reproducible from the witness; ``upper``
     is the support-line bound max_k lambda_max(H(theta_k)) / cos(pi/m) of
-    the grid (Johnson, SIAM J. Numer. Anal. 15, 1978).  Below about 16
-    phases a bracket need not be unimodal and the polish can miss the
-    global peak (a diagonal 3x3 at m = 9 gives 1.17747 for w = 1.19510);
-    ``value`` and ``upper`` stay certified there.
+    the grid (Johnson, SIAM J. Numer. Anal. 15, 1978), certified up to
+    rounding: where it is exact (Hermitian T, negative dominant eigenvalue,
+    odd m) it can sit a few ulps below ``value``.  Below about 16 phases the
+    polish can miss the global peak (a diagonal 3x3 at m = 9 gives 1.17747
+    for w = 1.19510); both bounds still hold there.
     """
     a = as_complex_matrix(t, tol)
     d = a.shape[0]

@@ -76,12 +76,12 @@ def test_criterion_02_sharp_scalar_case():
 
 
 def _dense_grid_radius(t: np.ndarray, points: int = 100_000) -> float:
-    # the maximum of lambda_max(H(theta)) over the full phase grid; since
-    # lambda_max(theta + pi) = -lambda_min(theta), that is the maximum of
-    # g = max(lambda_max, -lambda_min) over the first half-turn
+    # evaluates the full phase grid; the half-turn symmetry
+    # lambda_max(theta + pi) = -lambda_min(theta) halves the decompositions
     h1 = (t + t.conj().T) / 2.0
     h2 = 1j * (t - t.conj().T) / 2.0
     half = points // 2
+    best = -math.inf
     if t.shape[0] == 2:
         # closed-form eigenvalues of a 2x2 Hermitian pencil
         th = 2.0 * math.pi * np.arange(half) / points
@@ -92,30 +92,11 @@ def _dense_grid_radius(t: np.ndarray, points: int = 100_000) -> float:
         root = np.sqrt(((a - d) / 2.0) ** 2 + np.abs(off) ** 2)
         mid = (a + d) / 2.0
         return float(max((mid + root).max(), (root - mid).max()))
-
-    def g(idx):
-        th = 2.0 * math.pi * idx / points
+    for chunk in np.array_split(np.arange(half), 4):
+        th = 2.0 * math.pi * chunk / points
         hs = np.cos(th)[:, None, None] * h1 + np.sin(th)[:, None, None] * h2
         ev = np.linalg.eigvalsh(hs)
-        return np.maximum(ev[:, -1], -ev[:, 0])
-
-    # Every grid phase is decomposed unless it provably cannot beat the
-    # maximum found so far. By Weyl, |g(a) - g(b)| <= ||H(a) - H(b)||
-    # <= |a - b| * lip, so a phase k steps from a decomposed phase c has
-    # g <= g(c) + k * rise. g has period pi, so the last window closes on
-    # phase 0.
-    stride = 50
-    coarse = g(np.arange(0, half, stride))
-    best = float(coarse.max())
-    lip = math.hypot(np.linalg.norm(h1), np.linalg.norm(h2))
-    rise = 2.0 * math.pi / points * lip
-    ends = np.append(coarse, coarse[0])
-    j = np.arange(half)
-    w, k = np.divmod(j, stride)
-    bound = np.minimum(ends[w] + k * rise, ends[w + 1] + (stride - k) * rise)
-    rest = j[(k != 0) & (bound >= best - 1e-12 * lip)]
-    for lo in range(0, rest.size, 12_500):
-        best = max(best, float(g(rest[lo:lo + 12_500]).max()))
+        best = max(best, float(ev[:, -1].max()), float(-ev[:, 0].min()))
     return best
 
 

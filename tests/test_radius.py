@@ -195,10 +195,10 @@ class TestCertifiedUpper:
 
     def test_coarse_grid_stays_certified(self):
         # below about 16 phases the polish may settle on a lower peak, but
-        # the value is still attained and the grid bound still holds.  For a
-        # Hermitian T with a negative dominant eigenvalue and odd m the bound
-        # is exact (the nearest phases straddle pi), so it meets the value
-        # up to rounding: allow a few ulps there
+        # the value is still attained and the grid bound still holds, up to
+        # the rounding the docstring allows: for a Hermitian T with a
+        # negative dominant eigenvalue and odd m the bound is exact (the
+        # nearest phases straddle pi) and can sit a few ulps below the value
         slack = 1.0 + 1e-14
         for t in ensemble_mix(140):
             fine = numerical_radius(t, resolution=4000).value
