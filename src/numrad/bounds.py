@@ -46,6 +46,8 @@ from .linalg import (
 )
 from .radius import (
     SphereOptConfig,
+    _abs_power,
+    _FormObjective,
     minimize_over_sphere,
     minimize_over_sphere_pair,
     numerical_radius,
@@ -203,6 +205,44 @@ def _require_splitting_pair(f_fn, g_fn, spectrum, slack: float = 1e-9):
             )
 
 
+def _bracket_objective(
+    psds: Sequence[PsdMatrix], ia, ib, nu: float, levels: int, mode: str = "young"
+) -> _FormObjective:
+    """sum_k bracket(<A_k x, x>, <B_k x, x>) with A_k = psds[ia[k]], B_k = psds[ib[k]].
+
+    One bracket call covers every k; the search gets the exact gradient.
+    """
+    ia, ib = list(ia), list(ib)
+
+    def g(forms: np.ndarray):
+        a, b = forms[:, ia], forms[:, ib]
+        da, db = np.empty_like(a), np.empty_like(b)
+        vals = weighted_bracket_sum(a, b, nu, levels, mode=mode, grad=(da, db)).sum(axis=1)
+        dg = np.zeros_like(forms)
+        dg[:, ia] += da
+        dg[:, ib] += db
+        return vals, dg
+
+    return _FormObjective(np.stack([m.mat for m in psds]), "hermitian", g)
+
+
+def _pair_objective(
+    ats: Sequence[PsdMatrix], aas: Sequence[PsdMatrix], p: float, q: float, nu: float, levels: int
+) -> _FormObjective:
+    """bracket(sum_i |<|T_i| x, y>|^p, sum_i |<|T_i*| x, y>|^q), a function of a pair (x, y)."""
+    n = len(ats)
+
+    def g(c: np.ndarray):
+        pow_a, dpow_a = _abs_power(c[:, :n], p)
+        pow_b, dpow_b = _abs_power(c[:, n:], q)
+        a, b = pow_a.sum(axis=1), pow_b.sum(axis=1)
+        da, db = np.empty_like(a), np.empty_like(b)
+        vals = weighted_bracket_sum(a, b, nu, levels, grad=(da, db))
+        return vals, np.concatenate([da[:, None] * dpow_a, db[:, None] * dpow_b], axis=1)
+
+    return _FormObjective(np.stack([m.mat for m in list(ats) + list(aas)]), "pair", g)
+
+
 # ---------------------------------------------------------------------------
 # public scalar functionals (thin wrappers used by tests and the CLI)
 # ---------------------------------------------------------------------------
@@ -320,12 +360,10 @@ def bound_thm23(
     mix = PsdMatrix.from_matrix(nu * ar.mat + (1.0 - nu) * br.mat, tol)
     norm_term = xnorm**r * mix.norm()
 
-    def eta_batch(xs: np.ndarray) -> np.ndarray:
-        return weighted_bracket_sum(ar.quad_many(xs), br.quad_many(xs), nu, levels)
-
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta_batch)
+    eta = _bracket_objective([ar, br], [0], [1], nu, levels)
+    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta)
     vecs = _sample_vectors(dim, samples, [ar, br, mix], [lhs_est.witness, inf_est.witness], cfg.seed)
-    eta_s = eta_batch(vecs)
+    eta_s = eta(vecs)
     eta_min = float(min(eta_s.min(), inf_est.value))
     refinement_upper = xnorm**r * eta_min
 
@@ -399,21 +437,17 @@ def bound_thm25_heinz(
     half = PsdMatrix.from_matrix((ar.mat + br.mat) / 2.0, tol)
     norm_term = xnorm**r * half.norm()
 
-    def zeta_derived(xs: np.ndarray) -> np.ndarray:
-        av = ar.quad_many(xs)
-        bv = br.quad_many(xs)
-        return weighted_bracket_sum(av, bv, nu, levels) + weighted_bracket_sum(
-            bv, av, nu, levels
-        )
+    # the proof-derived correction: the bracket plus the swapped bracket
+    derived = _bracket_objective([ar, br], [0, 1], [1, 0], nu, levels)
 
     def zeta_printed(xs: np.ndarray) -> np.ndarray:
         return weighted_bracket_sum(
             ar.quad_many(xs), br.quad_many(xs), nu, levels, mode="printed_heinz"
         )
 
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=zeta_derived)
+    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=derived)
     vecs = _sample_vectors(dim, samples, [ar, br, half], [lhs_est.witness, inf_est.witness], cfg.seed)
-    zd = zeta_derived(vecs)
+    zd = derived(vecs)
     refinement_upper = xnorm**r * 0.5 * float(min(zd.min(), inf_est.value))
 
     lhs_pts = np.abs(quad_forms_many(m, vecs)) ** r
@@ -519,29 +553,14 @@ def bound_thm26(
     lhs_est = wp_radius(ops, p, cfg, tol)
     lhs = lhs_est.value**p
 
-    def scalars(xs: np.ndarray):
-        return [fp.quad_many(xs) for fp in fps], [gp.quad_many(xs) for gp in gps]
-
-    def eta_printed(xs: np.ndarray) -> np.ndarray:
-        avs, bvs = scalars(xs)
-        out = np.zeros(xs.shape[0])
-        for av, bv in zip(avs, bvs):
-            out += weighted_bracket_sum(av, bv, 0.5, levels, mode="half")
-        return out
-
-    def eta_proof(xs: np.ndarray) -> np.ndarray:
-        avs, bvs = scalars(xs)
-        out = np.zeros(xs.shape[0])
-        for av, bv in zip(avs, bvs):
-            out += weighted_bracket_sum(av, bv, 0.5, levels, mode="young")
-        return out
-
+    halves = (range(n), range(n, 2 * n))
+    eta_printed = _bracket_objective(fps + gps, *halves, 0.5, levels, mode="half")
     inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta_printed)
     vecs = _sample_vectors(
         dim, samples, fps + gps + [sum_rp], [lhs_est.witness, inf_est.witness], cfg.seed
     )
     printed = eta_printed(vecs)
-    proof = eta_proof(vecs)
+    proof = _bracket_objective(fps + gps, *halves, 0.5, levels, mode="young")(vecs)
     refinement_upper = float(min(printed.min(), inf_est.value))
 
     lhs_pts = np.zeros(len(vecs))
@@ -687,24 +706,18 @@ def bound_thm211(
     lhs_est = wp_radius(mats, p, cfg, tol)
     lhs = lhs_est.value
 
-    def eta_i_printed(i: int, xs: np.ndarray) -> np.ndarray:
-        return weighted_bracket_sum(
-            ups[i].quad_many(xs), vps[i].quad_many(xs), 0.5, levels, mode="half"
-        )
-
-    inf_ests = [
-        minimize_over_sphere(None, dim, cfg, objective_batch=lambda xs, i=i: eta_i_printed(i, xs))
-        for i in range(n)
+    etas = [
+        _bracket_objective([up, vp], [0], [1], 0.5, levels, mode="half")
+        for up, vp in zip(ups, vps)
     ]
+    inf_ests = [minimize_over_sphere(None, dim, cfg, objective_batch=eta) for eta in etas]
     witnesses = [lhs_est.witness] + [e.witness for e in inf_ests]
     vecs = _sample_vectors(dim, samples, ups + vps + sums, witnesses, cfg.seed)
 
-    printed = [eta_i_printed(i, vecs) for i in range(n)]
+    printed = [eta(vecs) for eta in etas]
     zeta = [
-        weighted_bracket_sum(
-            ups[i].quad_many(vecs), vps[i].quad_many(vecs), 0.5, 1, mode="half"
-        )
-        for i in range(n)
+        _bracket_objective([up, vp], [0], [1], 0.5, 1, mode="half")(vecs)
+        for up, vp in zip(ups, vps)
     ]
     inf_vals = [min(float(printed[i].min()), inf_ests[i].value) for i in range(n)]
     zeta_mins = [float(z.min()) for z in zeta]
@@ -788,20 +801,14 @@ def bound_thm213(
     lhs_est = wp_radius(mats, p, cfg, tol)
     lhs = lhs_est.value**p
 
-    def eta_batch(xs: np.ndarray, lv: int = levels) -> np.ndarray:
-        out = np.zeros(xs.shape[0])
-        for p_i, q_i in zip(ps_, qs_):
-            out += weighted_bracket_sum(
-                p_i.quad_many(xs), q_i.quad_many(xs), alpha, lv
-            )
-        return out
-
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta_batch)
+    halves = (range(n), range(n, 2 * n))
+    eta = _bracket_objective(ps_ + qs_, *halves, alpha, levels)
+    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta)
     vecs = _sample_vectors(
         dim, samples, ps_ + qs_ + [mix], [lhs_est.witness, inf_est.witness], cfg.seed
     )
-    eta_s = eta_batch(vecs)
-    zeta_s = eta_batch(vecs, 1)
+    eta_s = eta(vecs)
+    zeta_s = _bracket_objective(ps_ + qs_, *halves, alpha, 1)(vecs)
     refinement_upper = float(min(eta_s.min(), inf_est.value))
     rhs_baseline = norm_term - float(zeta_s.min())
 
@@ -973,11 +980,8 @@ def bound_thm216(
             b += np.abs(pair_forms_many(aa.mat, xs, ys)) ** q
         return a, b
 
-    def lam_batch(xs: np.ndarray, ys: np.ndarray, lv: int = levels) -> np.ndarray:
-        a, b = scalars(xs, ys)
-        return weighted_bracket_sum(a, b, nu, lv)
-
-    pair_inf = minimize_over_sphere_pair(None, dim, cfg, objective_batch=lam_batch)
+    lam = _pair_objective(ats, aas, p, q, nu, levels)
+    pair_inf = minimize_over_sphere_pair(None, dim, cfg, objective_batch=lam)
     special = [
         (west_p.witness, west_q.witness),
         (pair_inf.witness, pair_inf.witness2),
@@ -985,8 +989,8 @@ def bound_thm216(
         (west_q.witness, west_q.witness),
     ]
     xs, ys = _pair_samples(dim, samples, [p_mat, q_mat], special, cfg.seed)
-    lam_s = lam_batch(xs, ys)
-    delta_s = lam_batch(xs, ys, 1)
+    lam_s = lam(xs, ys)
+    delta_s = _pair_objective(ats, aas, p, q, nu, 1)(xs, ys)
     refinement_upper = float(min(lam_s.min(), pair_inf.value))
     rhs_baseline = norm_term - float(delta_s.min())
 

@@ -5,8 +5,12 @@ top eigenvalue of Re(e^{i theta} T); a uniform grid locates the global
 bracket and golden-section refinement polishes it.  The tuple functionals
 (the l^p combination of |<T_i x, x>| over unit x) and all infimum terms
 are estimated by projected gradient ascent/descent on the unit sphere in
-stacked real coordinates.  Each evaluated row is normalized once, in place,
-and an accepted step keeps the normalized trial row it was judged on.
+stacked real coordinates.  Objectives built from quadratic forms <M_i x, x>
+(or <M_i x, y> for pairs) carry their exact gradient: the Wirtinger
+derivative of a form is M_i x, pushed through the objective by the chain
+rule.  Any other callable objective gets central differences.  Each
+evaluated row is normalized once, in place, and an accepted step keeps the
+normalized trial row it was judged on, with its gradient.
 
 Estimate semantics are first-class: every supremum estimate is a lower
 bound of the true value and every infimum estimate is an upper bound.
@@ -51,7 +55,11 @@ def random_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.nd
 
 @dataclass(frozen=True)
 class SphereOptConfig:
-    """Knobs for the sphere search; identical config means identical output."""
+    """Knobs for the sphere search; identical config means identical output.
+
+    ``fd_step`` is the central-difference step, used only for black-box
+    objectives; form objectives have exact gradients.
+    """
 
     restarts: int = 64
     max_iters: int = 500
@@ -79,7 +87,7 @@ class RadiusEstimate:
     witness2: np.ndarray | None = None
     converged: bool = True
     bound_side: str = LOWER_OF_SUP
-    # upper bound of the true value, certified up to rounding, where known
+    # upper bound of the true value where known, never below ``value``
     upper: float | None = None
 
 
@@ -96,40 +104,152 @@ def _normalize_blocks(u: np.ndarray, blocks: Sequence[tuple[int, int]]) -> np.nd
     return u
 
 
+@dataclass(frozen=True, eq=False)
+class _FormObjective:
+    """An objective f = g(forms) of quadratic forms, with its exact gradient.
+
+    ``mats`` stacks n matrices M_i, shape (n, d, d).  ``kind`` names the
+    forms g sees: "hermitian" the real <M_i x, x> of Hermitian M_i, "complex"
+    the complex <M_i x, x>, "pair" the complex <M_i x, y> of a pair (x, y).  ``g``
+    maps the (m, n) forms to the m values and to dg, the derivative of g by
+    each form (for complex forms the Wirtinger derivative d/dc; g is real, so
+    d/dconj(c) is its conjugate).  Called with a batch it returns the values,
+    like any batched objective.
+    """
+
+    mats: np.ndarray
+    kind: str
+    g: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    def __post_init__(self):
+        n, d, _ = self.mats.shape
+        # x @ right holds every M_i x, read as (m, n, d): one GEMM for all forms
+        object.__setattr__(self, "_right", self.mats.reshape(n * d, d).T)
+        if self.kind != "hermitian":
+            adj = self.mats.conj().transpose(0, 2, 1).reshape(n * d, d)
+            object.__setattr__(self, "_right_adj", adj.T)
+
+    def _forms(self, x: np.ndarray, y: np.ndarray):
+        mx = (x @ self._right).reshape(x.shape[0], -1, x.shape[1])
+        forms = np.einsum("mj,mij->mi", y.conj(), mx)
+        return (forms.real if self.kind == "hermitian" else forms), mx
+
+    def __call__(self, *zs: np.ndarray) -> np.ndarray:
+        return self.g(self._forms(zs[0], zs[-1])[0])[0]
+
+    def value_grad(self, *zs: np.ndarray):
+        """Values and the derivatives d f / d conj(z), one per argument.
+
+        Hermitian forms: sum_i dg_i M_i x.  Complex forms: sum_i dg_i M_i x +
+        conj(dg_i) M_i* x.  Pairs: sum_i conj(dg_i) M_i* y in x and
+        sum_i dg_i M_i x in y.
+        """
+        x, y = zs[0], zs[-1]
+        forms, mx = self._forms(x, y)
+        vals, dg = self.g(forms)
+        along_mx = np.einsum("mi,mij->mj", dg, mx)
+        if self.kind == "hermitian":
+            return vals, [along_mx]
+        if self.kind == "complex":
+            mhx = (x @ self._right_adj).reshape(mx.shape)
+            return vals, [along_mx + np.einsum("mi,mij->mj", dg.conj(), mhx)]
+        mhy = (y @ self._right_adj).reshape(mx.shape)
+        return vals, [np.einsum("mi,mij->mj", dg.conj(), mhy), along_mx]
+
+
+def _abs_power(c: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """|c|^p and its Wirtinger derivative (p/2) |c|^(p-2) conj(c), taken as 0 at c = 0."""
+    mag = np.abs(c)
+    phase = np.divide(c.conj(), mag, out=np.zeros_like(c), where=mag > 0.0)
+    return mag**p, (0.5 * p) * mag ** (p - 1.0) * phase
+
+
+def _lp_of_forms(p: float):
+    """g for (sum_i |c_i|^p)^(1/p) over complex forms c_i, for a _FormObjective."""
+
+    def g(c: np.ndarray):
+        powers, d_powers = _abs_power(c, p)
+        s = powers.sum(axis=1)
+        vals = s ** (1.0 / p)
+        # d s^(1/p) / ds = s^(1/p) / (p s); 0 where every form vanishes
+        scale = np.divide(vals, p * s, out=np.zeros_like(s), where=s > 0.0)
+        return vals, scale[:, None] * d_powers
+
+    return g
+
+
+def _checked(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=np.float64)
+    # a sum without NaN proves there is none; only a NaN sum needs the scan
+    if np.isnan(vals.sum()) and np.isnan(vals).any():
+        raise ObjectiveError("objective returned NaN on the sphere")
+    return vals
+
+
+def _central_differences(f_batch: Callable[..., np.ndarray], split, blocks, h: float):
+    """Values and central-difference gradients of a black-box objective at unit rows.
+
+    One objective call per batch: the rows, then every plus row of their
+    stencil, then every minus row, each stencil row normalized.
+    """
+
+    def value_grad(u: np.ndarray):
+        k, n = u.shape
+        step = np.eye(n) * h
+        stencil = np.concatenate([u[:, None, :] + step, u[:, None, :] - step]).reshape(-1, n)
+        rows = np.concatenate([u, _normalize_blocks(stencil, blocks)])
+        vals = _checked(f_batch(*split(rows)))
+        fp = vals[k : k + k * n].reshape(k, n)
+        fm = vals[k + k * n :].reshape(k, n)
+        return vals[:k], (fp - fm) / (2.0 * h)
+
+    return value_grad
+
+
 def _extremize_on_spheres(
-    f_batch: Callable[..., np.ndarray],
+    objective: Callable[..., np.ndarray],
     dim: int,
     cfg: SphereOptConfig,
     *,
     minimize: bool = False,
     pair: bool = False,
 ) -> RadiusEstimate:
-    """Projected finite-difference gradient search on S^(2 dim - 1) (or a pair).
+    """Projected gradient search on S^(2 dim - 1) (or a pair of them).
 
-    ``f_batch`` maps a complex (m, dim) batch (two of them for pairs) to a
-    float vector.  Objectives are only ever evaluated at unit vectors.
+    ``objective`` maps a complex (m, dim) batch (two of them for pairs) to a
+    float vector.  Objectives are only ever evaluated at unit vectors.  A
+    _FormObjective gives exact gradients; any other callable gets central
+    differences with step ``cfg.fd_step``.  Each iteration asks for values
+    and gradients at the trial rows in one call.
     """
     two_d = 2 * dim
     blocks = [(0, two_d)] + ([(two_d, 2 * two_d)] if pair else [])
     d_total = blocks[-1][1]
     sign = -1.0 if minimize else 1.0
 
-    def ev(rows: np.ndarray) -> np.ndarray:
-        # normalizes ``rows`` in place: callers pass rows no one else holds
-        u = _normalize_blocks(rows, blocks)
-        zs = [u[:, s : s + dim] + 1j * u[:, s + dim : e] for s, e in blocks]
-        vals = np.asarray(f_batch(*zs), dtype=np.float64)
-        # a sum without NaN proves there is none; only a NaN sum needs the scan
-        if np.isnan(vals.sum()) and np.isnan(vals).any():
-            raise ObjectiveError("objective returned NaN on the sphere")
-        return sign * vals
+    def split(u: np.ndarray) -> list[np.ndarray]:
+        return [u[:, s : s + dim] + 1j * u[:, s + dim : e] for s, e in blocks]
+
+    if isinstance(objective, _FormObjective):
+
+        def value_grad(u: np.ndarray):
+            vals, dz = objective.value_grad(*split(u))
+            # real coordinates (Re z, Im z): the gradient is 2 (Re, Im) of d f / d conj(z)
+            grad = np.concatenate([part for z in dz for part in (z.real, z.imag)], axis=1)
+            return _checked(vals), 2.0 * grad
+
+    else:
+        value_grad = _central_differences(objective, split, blocks, cfg.fd_step)
+
+    def ev(u: np.ndarray):
+        vals, grad = value_grad(u)
+        return sign * vals, sign * grad
 
     rng = rng_from(cfg.seed, 0)
     u = _normalize_blocks(rng.standard_normal((cfg.restarts, d_total)), blocks)
-    vals = ev(u.copy())  # ev normalizes the copy again; u keeps these rows
+    vals, grad = ev(u)
     alpha = np.full(cfg.restarts, cfg.init_step)
     active = np.ones(cfg.restarts, dtype=bool)
-    eye = np.eye(d_total) * cfg.fd_step
 
     trial_factors = np.array([4.0, 1.0, 0.25])
     n_trial = trial_factors.size
@@ -138,21 +258,17 @@ def _extremize_on_spheres(
         if idx.size == 0:
             break
         ua = u[idx]
+        g = grad[idx]
         k = idx.size
-        # central-difference stencil: every plus row, then every minus row
-        both = ev(np.concatenate([ua[:, None, :] + eye, ua[:, None, :] - eye]).reshape(-1, d_total))
-        fp = both[: k * d_total].reshape(k, d_total)
-        fm = both[k * d_total :].reshape(k, d_total)
-        grad = (fp - fm) / (2.0 * cfg.fd_step)
         for s, e in blocks:
-            radial = np.add.reduce(grad[:, s:e] * ua[:, s:e], axis=1, keepdims=True)
-            grad[:, s:e] -= radial * ua[:, s:e]
-        gnorm = np.sqrt(np.add.reduce(grad * grad, axis=1))
+            radial = np.add.reduce(g[:, s:e] * ua[:, s:e], axis=1, keepdims=True)
+            g[:, s:e] -= radial * ua[:, s:e]
+        gnorm = np.sqrt(np.add.reduce(g * g, axis=1))
         # three trial steps per restart; adopting the best kills the
         # overshoot oscillation a single fixed step is prone to
         steps = alpha[idx, None] * trial_factors
-        cand = (ua[:, None, :] + steps[:, :, None] * grad[:, None, :]).reshape(-1, d_total)
-        cvals = ev(cand)  # leaves every row of cand normalized
+        cand = (ua[:, None, :] + steps[:, :, None] * g[:, None, :]).reshape(-1, d_total)
+        cvals, cgrad = ev(_normalize_blocks(cand, blocks))
         flat = np.arange(k) * n_trial + cvals.reshape(k, n_trial).argmax(axis=1)
         best_cand = cvals[flat]
         better = best_cand > vals[idx]
@@ -160,18 +276,19 @@ def _extremize_on_spheres(
         chosen = flat[better]
         u[took] = cand[chosen]
         vals[took] = best_cand[better]
+        grad[took] = cgrad[chosen]
         alpha[took] = np.minimum(np.maximum(steps.reshape(-1)[chosen], 1e-14), 1.0)
         alpha[idx[~better]] *= 0.25
         done = alpha[idx] * np.maximum(gnorm, 1e-30) < cfg.step_tol
         active[idx[done]] = False
 
     best = int(vals.argmax())  # ties resolve to the lowest restart index
-    value = float(sign * ev(u[best : best + 1].copy())[0])  # u and the witness stay as kept
-    zs = [u[best, s : s + dim] + 1j * u[best, s + dim : e] for s, e in blocks]
+    zs = split(u[best : best + 1])
+    value = float(_checked(objective(*zs))[0])  # evaluated alone, at the witness
     return RadiusEstimate(
         value=value,
-        witness=zs[0],
-        witness2=zs[1] if pair else None,
+        witness=zs[0][0],
+        witness2=zs[1][0] if pair else None,
         converged=bool(~active[best]),
         bound_side=UPPER_OF_INF if minimize else LOWER_OF_SUP,
     )
@@ -219,9 +336,10 @@ def numerical_radius(
     reported is |<T x, x>| at the top eigenvector of the best phase, a
     certified lower bound of w(T) reproducible from the witness; ``upper``
     is the support-line bound max_k lambda_max(H(theta_k)) / cos(pi/m) of
-    the grid (Johnson, SIAM J. Numer. Anal. 15, 1978), certified up to
-    rounding: where it is exact (Hermitian T, negative dominant eigenvalue,
-    odd m) it can sit a few ulps below ``value``.  Below about 16 phases the
+    the grid (Johnson, SIAM J. Numer. Anal. 15, 1978), or ``value`` where
+    that is larger, so ``value <= upper`` holds exactly.  The bound can be
+    exact (Hermitian T, negative dominant eigenvalue, odd m), and rounding
+    can then put it a few ulps below ``value``.  Below about 16 phases the
     polish can miss the global peak (a diagonal 3x3 at m = 9 gives 1.17747
     for w = 1.19510); both bounds still hold there.
     """
@@ -276,7 +394,7 @@ def numerical_radius(
         if val > best_val:
             best_val = val
             best_vec = x
-    upper = float(lam.max()) / math.cos(math.pi / resolution)
+    upper = max(float(lam.max()) / math.cos(math.pi / resolution), best_val)
     return RadiusEstimate(best_val, best_vec, upper=upper)
 
 
@@ -319,10 +437,8 @@ def wp_radius(
     if p < 1.0:
         raise DomainError(f"wp radius requires p >= 1, got {p}")
     ot = tup if isinstance(tup, OperatorTuple) else OperatorTuple.of(tup, tol)
-    est = _extremize_on_spheres(
-        lambda xs: tuple_lp_values(ot.ops, p, xs), ot.dim, cfg, minimize=False
-    )
-    return est
+    lp = _FormObjective(np.stack(ot.ops), "complex", _lp_of_forms(p))
+    return _extremize_on_spheres(lp, ot.dim, cfg, minimize=False)
 
 
 def we_radius(tup, cfg: SphereOptConfig, tol: Tolerances = DEFAULT_TOL) -> RadiusEstimate:

@@ -49,11 +49,12 @@ class LevelIndices:
     weight: float
 
 
+def _snaps(x: float) -> bool:
+    return abs(x - round(x)) <= _SNAP * max(1.0, abs(x))
+
+
 def _snap_floor(x: float) -> int:
-    n = round(x)
-    if abs(x - n) <= _SNAP * max(1.0, abs(x)):
-        return int(n)
-    return int(math.floor(x))
+    return int(round(x)) if _snaps(x) else int(math.floor(x))
 
 
 def level_indices(level: int, nu: float) -> LevelIndices:
@@ -70,6 +71,8 @@ def level_indices(level: int, nu: float) -> LevelIndices:
     scaled = 2.0 ** (level - 1) * nu  # exact: power-of-two scaling
     r = _snap_floor(2.0 * scaled)
     k = _snap_floor(scaled)
+    if _snaps(2.0 * scaled):
+        scaled = r / 2.0  # the weight of the snapped index: 0 for even r, 1/2 for odd
     sign = -1.0 if r % 2 else 1.0
     weight = sign * scaled - sign * ((r + 1) // 2)
     return LevelIndices(level=level, r=r, k=k, weight=float(weight))
@@ -90,8 +93,9 @@ def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], 
     """Weight and bracket exponents (w, e_b1, e_a1, e_a2, e_b2) of each level with w != 0.
 
     Level j's squared bracket is (b^e_b1 a^e_a1 - a^e_a2 b^e_b2)^2.  e_b2 < 0
-    only where 2^j nu snaps to 2^j: at nu = 1, where the weight vanishes and
-    the level is skipped, and within the snap tolerance below it.
+    only where 2^(j-1) nu snaps to 2^(j-1), at nu = 1 and within the snap
+    tolerance below it; the "young" weight vanishes there, so only the
+    "half" and "printed_heinz" modes keep such a level.
     """
     terms = []
     for j in range(1, levels + 1):
@@ -112,7 +116,7 @@ def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], 
 
 
 def weighted_bracket_sum(
-    a, b, nu: float, levels: int, mode: str = "young"
+    a, b, nu: float, levels: int, mode: str = "young", grad=None
 ) -> np.ndarray:
     """Sum over levels of weight_j * bracket_j(a, b)^2, vectorized in a, b.
 
@@ -122,13 +126,34 @@ def weighted_bracket_sum(
       "printed_heinz" the nu-free printed Heinz weights (may be negative)
 
     Inputs are clamped at zero; the 0^0 = 1 convention applies.
+
+    ``grad``, a pair (da, db) of float arrays of the output's shape, is
+    filled in place with the derivatives of each output entry by its a and
+    its b.  A derivative is 0 where its argument is 0 after clamping (there
+    the true one is 0 or unbounded).  The values returned are the same bits
+    with or without ``grad``.
     """
     a = np.maximum(np.asarray(a, dtype=np.float64), 0.0)
     b = np.maximum(np.asarray(b, dtype=np.float64), 0.0)
     out = np.zeros(np.broadcast(a, b).shape, dtype=np.float64)
+    if grad is not None:
+        da, db = grad
+        da[...] = 0.0
+        db[...] = 0.0
     for w, e_b1, e_a1, e_a2, e_b2 in _level_terms(float(nu), int(levels), mode):
-        t = b**e_b1 * a**e_a1 - a**e_a2 * b**e_b2
+        first = b**e_b1 * a**e_a1
+        second = a**e_a2 * b**e_b2
+        t = first - second
         out = out + w * (t * t)
+        if grad is not None:
+            # a d/da of a monomial a^e b^f is e times the monomial
+            wt = (2.0 * w) * t
+            da += wt * (e_a1 * first - e_a2 * second)
+            db += wt * (e_b1 * first - e_b2 * second)
+    if grad is not None:
+        for d, x in ((da, a), (db, b)):
+            np.divide(d, x, out=d, where=x > 0.0)
+            np.copyto(d, 0.0, where=x == 0.0)
     return out
 
 
@@ -148,10 +173,12 @@ def young_refined_gap(a: float, b: float, params: RefinementParams) -> float:
     return nu * a + (1.0 - nu) * b - s - a**nu * b ** (1.0 - nu)
 
 
+def _snaps_vec(x: np.ndarray) -> np.ndarray:
+    return np.abs(x - np.round(x)) <= _SNAP * np.maximum(1.0, np.abs(x))
+
+
 def _snap_floor_vec(x: np.ndarray) -> np.ndarray:
-    n = np.round(x)
-    snapped = np.abs(x - n) <= _SNAP * np.maximum(1.0, np.abs(x))
-    return np.where(snapped, n, np.floor(x)).astype(np.int64)
+    return np.where(_snaps_vec(x), np.round(x), np.floor(x)).astype(np.int64)
 
 
 def bracket_sum_vec(a: np.ndarray, b: np.ndarray, nu: np.ndarray, levels: int) -> np.ndarray:
@@ -164,6 +191,8 @@ def bracket_sum_vec(a: np.ndarray, b: np.ndarray, nu: np.ndarray, levels: int) -
         scaled = 2.0 ** (j - 1) * nu
         r = _snap_floor_vec(2.0 * scaled)
         k = _snap_floor_vec(scaled)
+        # where 2^j nu snaps to r, weigh the snapped index, as level_indices does
+        scaled = np.where(_snaps_vec(2.0 * scaled), r / 2.0, scaled)
         sign = np.where(r % 2 == 0, 1.0, -1.0)
         w = sign * scaled - sign * ((r + 1) // 2)
         live = w != 0.0

@@ -10,6 +10,7 @@ from numrad.refine import (
     MAX_LEVELS,
     LevelIndices,
     RefinementParams,
+    bracket_sum_vec,
     level_indices,
     power_mean_rhs,
     printed_heinz_weight,
@@ -65,6 +66,23 @@ class TestLevelIndices:
             level_indices(MAX_LEVELS + 1, 0.5)
         with pytest.raises(DomainError):
             level_indices(0, 0.5)
+
+    @pytest.mark.parametrize("level, nu, weight", [
+        (2, 0.5 - 1e-14, 0.0),  # 2^j nu snaps to the even r = 2
+        (2, 0.5 + 1e-14, 0.0),
+        (1, 0.5 - 1e-14, 0.5),  # ... and to the odd r = 1
+        (3, 1.0 - 1e-13, 0.0),
+        (3, 0.625 - 1e-14, 0.5),
+    ])
+    def test_snapped_index_weighs_the_snapped_point(self, level, nu, weight):
+        assert level_indices(level, nu).weight == weight
+
+    def test_just_below_a_dyadic_nu_the_correction_stays_nonnegative(self):
+        a, b = np.array([1.0, 3.0]), np.array([1e-6, 0.2])
+        for nu in (0.5 - 1e-14, 0.75 - 1e-14, 1.0 - 1e-13):
+            for levels in (1, 3, 6):
+                assert (weighted_bracket_sum(a, b, nu, levels) >= 0.0).all()
+                assert (bracket_sum_vec(a, b, np.full(2, nu), levels) >= 0.0).all()
 
     def test_weights_nonnegative_on_grid(self):
         # fine nu grid, many levels: weight is the distance of 2^(j-1) nu
