@@ -69,7 +69,8 @@ def write_matrix_file(path, named: list[tuple[str, np.ndarray]]) -> None:
 def read_matrix_file(path) -> dict[str, np.ndarray]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder's stack
         raise DomainError(f"cannot read matrix file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError(f"matrix file {path} does not hold a JSON object")

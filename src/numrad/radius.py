@@ -1,16 +1,18 @@
 """Radius functionals and unit-sphere optimization.
 
 The numerical radius is computed as the maximum over phases theta of the
-top eigenvalue of Re(e^{i theta} T); a uniform grid locates the global
-bracket and golden-section refinement polishes it.  The tuple functionals
-(the l^p combination of |<T_i x, x>| over unit x) and all infimum terms
-are estimated by projected gradient ascent/descent on the unit sphere in
-stacked real coordinates.  Objectives built from quadratic forms <M_i x, x>
-(or <M_i x, y> for pairs) carry their exact gradient: the Wirtinger
-derivative of a form is M_i x, pushed through the objective by the chain
-rule.  Any other callable objective gets central differences.  Each
-evaluated row is normalized once, in place, and an accepted step keeps the
-normalized trial row it was judged on, with its gradient.
+top eigenvalue of Re(e^{i theta} T); a uniform grid, solved coarse to fine
+where Johnson's support-line bound says a phase can matter, locates the
+global bracket and golden-section refinement polishes it.  The tuple
+functionals (the l^p combination of |<T_i x, x>| over unit x) and all
+infimum terms are estimated by projected gradient ascent/descent on the
+unit sphere in stacked real coordinates.  Objectives built from quadratic
+forms <M_i x, x> (or <M_i x, y> for pairs) carry their exact gradient: the
+Wirtinger derivative of a form is M_i x, pushed through the objective by
+the chain rule.  Any other callable objective gets central differences,
+taken only at the rows the search accepts.  Each evaluated row is
+normalized once, in place, and an accepted step keeps the normalized trial
+row it was judged on, with its gradient.
 
 Estimate semantics are first-class: every supremum estimate is a lower
 bound of the true value and every infimum estimate is an upper bound.
@@ -20,6 +22,7 @@ Downstream verdicts rely on this labeling.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,8 +37,11 @@ LOWER_OF_SUP = "lower-of-sup"
 UPPER_OF_INF = "upper-of-inf"
 
 # bytes of (rows, d, d) complex phase matrices handed to one batched
-# eigensolve in numerical_radius; bounds its working memory at any resolution
-_GRID_CHUNK_BYTES = 4 << 20
+# eigensolve in numerical_radius; bounds its working memory at any
+# resolution, and stays under numpy's 4 MiB huge-page threshold
+_GRID_CHUNK_BYTES = 2 << 20
+# numerical_radius first solves every _GRID_STRIDE-th phase of its grid
+_GRID_STRIDE = 8
 
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:
@@ -187,21 +193,24 @@ def _checked(vals) -> np.ndarray:
 
 
 def _central_differences(f_batch: Callable[..., np.ndarray], split, blocks, h: float):
-    """Values and central-difference gradients of a black-box objective at unit rows.
+    """Values of a black-box objective at unit rows, with central differences on demand.
 
-    One objective call per batch: the rows, then every plus row of their
-    stencil, then every minus row, each stencil row normalized.
+    The values take one objective call.  The gradient at a row takes 2n
+    stencil rows, so it is built only for the rows asked for, in one more
+    call: every plus row of their stencil, then every minus row, each
+    normalized.
     """
 
     def value_grad(u: np.ndarray):
-        k, n = u.shape
-        step = np.eye(n) * h
-        stencil = np.concatenate([u[:, None, :] + step, u[:, None, :] - step]).reshape(-1, n)
-        rows = np.concatenate([u, _normalize_blocks(stencil, blocks)])
-        vals = _checked(f_batch(*split(rows)))
-        fp = vals[k : k + k * n].reshape(k, n)
-        fm = vals[k + k * n :].reshape(k, n)
-        return vals[:k], (fp - fm) / (2.0 * h)
+        def grad_at(sel) -> np.ndarray:
+            rows = u[sel]
+            k, n = rows.shape
+            step = np.eye(n) * h
+            stencil = np.concatenate([rows[:, None, :] + step, rows[:, None, :] - step])
+            vals = _checked(f_batch(*split(_normalize_blocks(stencil.reshape(-1, n), blocks))))
+            return (vals[: k * n].reshape(k, n) - vals[k * n :].reshape(k, n)) / (2.0 * h)
+
+        return _checked(f_batch(*split(u))), grad_at
 
     return value_grad
 
@@ -219,8 +228,9 @@ def _extremize_on_spheres(
     ``objective`` maps a complex (m, dim) batch (two of them for pairs) to a
     float vector.  Objectives are only ever evaluated at unit vectors.  A
     _FormObjective gives exact gradients; any other callable gets central
-    differences with step ``cfg.fd_step``.  Each iteration asks for values
-    and gradients at the trial rows in one call.
+    differences with step ``cfg.fd_step``.  Each iteration asks for the
+    values at the trial rows, and then for the gradients at the accepted
+    ones.
     """
     two_d = 2 * dim
     blocks = [(0, two_d)] + ([(two_d, 2 * two_d)] if pair else [])
@@ -235,19 +245,20 @@ def _extremize_on_spheres(
         def value_grad(u: np.ndarray):
             vals, dz = objective.value_grad(*split(u))
             # real coordinates (Re z, Im z): the gradient is 2 (Re, Im) of d f / d conj(z)
-            grad = np.concatenate([part for z in dz for part in (z.real, z.imag)], axis=1)
-            return _checked(vals), 2.0 * grad
+            grad = 2.0 * np.concatenate([part for z in dz for part in (z.real, z.imag)], axis=1)
+            return _checked(vals), grad.__getitem__
 
     else:
         value_grad = _central_differences(objective, split, blocks, cfg.fd_step)
 
     def ev(u: np.ndarray):
-        vals, grad = value_grad(u)
-        return sign * vals, sign * grad
+        vals, grad_at = value_grad(u)
+        return sign * vals, lambda sel: sign * grad_at(sel)
 
     rng = rng_from(cfg.seed, 0)
     u = _normalize_blocks(rng.standard_normal((cfg.restarts, d_total)), blocks)
-    vals, grad = ev(u)
+    vals, grad_at = ev(u)
+    grad = grad_at(slice(None))
     alpha = np.full(cfg.restarts, cfg.init_step)
     active = np.ones(cfg.restarts, dtype=bool)
 
@@ -268,16 +279,17 @@ def _extremize_on_spheres(
         # overshoot oscillation a single fixed step is prone to
         steps = alpha[idx, None] * trial_factors
         cand = (ua[:, None, :] + steps[:, :, None] * g[:, None, :]).reshape(-1, d_total)
-        cvals, cgrad = ev(_normalize_blocks(cand, blocks))
+        cvals, cgrad_at = ev(_normalize_blocks(cand, blocks))
         flat = np.arange(k) * n_trial + cvals.reshape(k, n_trial).argmax(axis=1)
         best_cand = cvals[flat]
         better = best_cand > vals[idx]
         took = idx[better]
         chosen = flat[better]
-        u[took] = cand[chosen]
-        vals[took] = best_cand[better]
-        grad[took] = cgrad[chosen]
-        alpha[took] = np.minimum(np.maximum(steps.reshape(-1)[chosen], 1e-14), 1.0)
+        if took.size:
+            u[took] = cand[chosen]
+            vals[took] = best_cand[better]
+            grad[took] = cgrad_at(chosen)
+            alpha[took] = np.minimum(np.maximum(steps.reshape(-1)[chosen], 1e-14), 1.0)
         alpha[idx[~better]] *= 0.25
         done = alpha[idx] * np.maximum(gnorm, 1e-30) < cfg.step_tol
         active[idx[done]] = False
@@ -325,76 +337,148 @@ def numerical_radius(
 ) -> RadiusEstimate:
     """Numerical radius estimate via phase maximization.
 
-    w(T) = max over theta of the top eigenvalue of H(theta) =
-    cos(theta) (T+T*)/2 + sin(theta) i(T-T*)/2.  A uniform theta grid
-    (default 720 points) finds the global bracket; golden-section search
-    inside the best three local-maximum brackets polishes it.  The grid is
-    decomposed in chunks of about 4 MiB of phase matrices, so memory stays
-    flat in the resolution.  For an even resolution only the first
-    half-turn is decomposed: H(theta + pi) = -H(theta), so the top
-    eigenvalue there is minus the bottom one at theta.  The value
-    reported is |<T x, x>| at the top eigenvector of the best phase, a
-    certified lower bound of w(T) reproducible from the witness; ``upper``
-    is the support-line bound max_k lambda_max(H(theta_k)) / cos(pi/m) of
-    the grid (Johnson, SIAM J. Numer. Anal. 15, 1978), or ``value`` where
-    that is larger, so ``value <= upper`` holds exactly.  The bound can be
-    exact (Hermitian T, negative dominant eigenvalue, odd m), and rounding
-    can then put it a few ulps below ``value``.  Below about 16 phases the
-    polish can miss the global peak (a diagonal 3x3 at m = 9 gives 1.17747
-    for w = 1.19510); both bounds still hold there.
+    w(T) = max over theta of lambda(theta), the top eigenvalue of H(theta) =
+    cos(theta) (T+T*)/2 + sin(theta) i(T-T*)/2.  On a uniform grid of
+    ``resolution`` phases (an integer >= 8; default 720), golden-section
+    search inside the brackets of the grid's three highest local maxima
+    polishes the maximum.  The value reported is |<T x, x>| at the top
+    eigenvector of the best polished phase, a certified lower bound of w(T)
+    reproducible from the witness; ``upper`` is the support-line bound
+    max_k lambda(theta_k) / cos(pi/m) of the grid (Johnson, SIAM J. Numer.
+    Anal. 15, 1978), or ``value`` where that is larger, so ``value <= upper``
+    holds exactly.  The bound can be exact (Hermitian T, negative dominant
+    eigenvalue, odd m), and rounding can then put it a few ulps below
+    ``value``.  Below about 16 phases the polish can miss the global peak (a
+    diagonal 3x3 at m = 9 gives 1.17747 for w = 1.19510); both bounds still
+    hold there.
+
+    The grid is solved coarse to fine, with the same result as solving every
+    phase.  Johnson's bound also holds between two solved phases a < b, at
+    most pi apart: on [theta_a, theta_b], lambda <= M / cos((theta_b -
+    theta_a) / 2) with M = max(lambda_a, lambda_b) >= 0, and lambda <= M
+    when M < 0.  Every 8th phase is solved first (every phase below 128);
+    then only the gaps whose bound reaches a threshold tau get their phases
+    solved, until none is left.  So every unsolved phase lies below tau, and
+    every grid peak at or above tau, with its rank, is exact.  With three
+    such peaks the top three are known.  With fewer, tau is lowered until
+    nothing left out can beat the best polished value: no unsolved gap, and
+    no lower solved peak's bracket (its bound over one step either side),
+    reaches that value less a rounding margin.  A peak left out cannot win
+    there, since golden search settles on a smooth local maximum of lambda
+    (its kinks are never local maxima), where |<T x, x>| = lambda.  Tied
+    peaks, as of a unitary T, are what lowers tau.  Phase matrices are
+    decomposed in chunks of about 2 MiB, so memory stays flat in the
+    resolution, and for an even resolution only over the first half-turn:
+    H(theta + pi) = -H(theta), so lambda there is minus the bottom
+    eigenvalue at theta.
     """
     a = as_complex_matrix(t, tol)
     d = a.shape[0]
-    if resolution < 8:
-        raise DomainError(f"resolution must be >= 8, got {resolution}")
+    try:
+        m = operator.index(resolution)
+    except TypeError:
+        m = None
+    if m is None or isinstance(resolution, bool) or m < 8:
+        raise DomainError(f"resolution must be an integer >= 8, got {resolution!r}")
     e1 = np.zeros(d, dtype=np.complex128)
     e1[0] = 1.0
-    h1 = (a + a.conj().T) / 2.0
-    h2 = 1j * (a - a.conj().T) / 2.0
-    if max_abs(a) == 0.0:
+    scale = max_abs(a)
+    if scale == 0.0:
         return RadiusEstimate(0.0, e1, upper=0.0)
     if d == 1:
         value = abs(complex(a[0, 0]))
         return RadiusEstimate(value, e1, upper=value)
+    # keeps d * scale, every phase matrix entry and every eigenvalue finite
+    if scale > np.finfo(np.float64).max / (4 * d):
+        raise DomainError(f"matrix entries up to {scale:.3g} overflow the phase grid")
+    h1 = (a + a.conj().T) / 2.0
+    h2 = 1j * (a - a.conj().T) / 2.0
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    half = resolution // 2 if resolution % 2 == 0 else resolution
+    step = 2.0 * math.pi / m
+    half = m // 2 if m % 2 == 0 else m
     rows = max(1, _GRID_CHUNK_BYTES // (16 * d * d))
-    lam = np.empty(resolution)
-    for s in range(0, half, rows):
-        e = min(s + rows, half)
-        hs = cos_t[s:e, None, None] * h1[None] + sin_t[s:e, None, None] * h2[None]
-        ev = _hermitian_eig(np.linalg.eigvalsh, hs)
-        lam[s:e] = ev[:, -1]
-        if half < resolution:
-            lam[half + s : half + e] = -ev[:, 0]
+    lam = np.full(m, -math.inf)  # an unsolved phase reads -inf
+    solved = np.zeros(m, dtype=bool)
+
+    def solve(idx: np.ndarray) -> None:
+        want = np.zeros(half, dtype=bool)
+        want[idx % half] = True
+        base = np.flatnonzero(want & ~solved[:half])
+        for s in range(0, base.size, rows):
+            k = base[s : s + rows]
+            hs = cos_t[k, None, None] * h1 + sin_t[k, None, None] * h2
+            ev = _hermitian_eig(np.linalg.eigvalsh, hs)
+            lam[k] = ev[:, -1]
+            solved[k] = True
+            if half < m:
+                lam[k + half] = -ev[:, 0]
+                solved[k + half] = True
 
     def lam_max(theta: float) -> float:
         h = math.cos(theta) * h1 + math.sin(theta) * h2
         return float(_hermitian_eig(np.linalg.eigvalsh, h)[-1])
 
-    left = np.roll(lam, 1)
-    right = np.roll(lam, -1)
-    peaks = np.flatnonzero((lam >= left) & (lam >= right))
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(lam))])
-    peaks = peaks[np.argsort(lam[peaks], kind="stable")[::-1][:3]]
-    step = 2.0 * math.pi / resolution
+    polished: dict[int, tuple[float, np.ndarray]] = {}
+
+    def polish(k: int) -> tuple[float, np.ndarray]:
+        if k not in polished:
+            theta0 = float(thetas[k])
+            theta_star = _golden_max(lam_max, theta0 - step, theta0 + step)
+            h = math.cos(theta_star) * h1 + math.sin(theta_star) * h2
+            _, v = _hermitian_eig(np.linalg.eigh, h)
+            x = v[:, -1]
+            polished[k] = (abs(complex(np.vdot(x, a @ x))), x)
+        return polished[k]
+
+    stride = _GRID_STRIDE if m >= 16 * _GRID_STRIDE else 1
+    # a gap between solved phases spans at most one stride, under pi
+    cos_half = np.cos(0.5 * step * np.arange(stride + 1))
+
+    def support_bound(top: np.ndarray, gap) -> np.ndarray:
+        return np.where(top >= 0.0, top / cos_half[gap], top)
+
+    # |eigenvalue error| <= O(d eps ||H||) and ||H|| <= ||T||_F <= d * scale
+    margin = 2.0**-30 * d * scale
+    solve(np.arange(0, half, stride))
+    tau = lam.max()
+    fine = np.arange(1, stride)
+    while True:
+        # solve every gap whose bound reaches tau: what stays unsolved is below tau
+        while True:
+            ends = solved.nonzero()[0]
+            gaps = (np.roll(ends, -1) - ends) % m
+            bound = support_bound(np.maximum(lam[ends], lam[(ends + gaps) % m]), gaps)
+            unsolved = gaps > 1
+            reach = unsolved & (bound >= tau - margin)
+            if not reach.any():
+                break
+            inner = ends[reach, None] + fine
+            solve(inner[fine < gaps[reach, None]] % m)
+        # peaks at or above tau are exact; a lower "peak" may border an unsolved phase
+        peak = solved & (lam >= np.roll(lam, 1)) & (lam >= np.roll(lam, -1))
+        high = np.flatnonzero(peak & (lam >= tau))
+        # highest first; equal values from the highest index down
+        top = high[np.argsort(lam[high], kind="stable")[::-1][:3]]
+        if top.size == 3:
+            break
+        # done when no gap and no lower peak's bracket can reach the best polished value
+        limit = max(polish(k)[0] for k in top) - margin
+        low = np.flatnonzero(peak & (lam < tau))
+        low = low[support_bound(lam[low], 1) >= limit]
+        if low.size == 0 and not (unsolved & (bound >= limit)).any():
+            break
+        tau = min(tau, limit, *lam[low])
 
     best_val = -math.inf
     best_vec = e1
-    for k in peaks:
-        theta0 = float(thetas[k])
-        theta_star = _golden_max(lam_max, theta0 - step, theta0 + step)
-        h = math.cos(theta_star) * h1 + math.sin(theta_star) * h2
-        _, v = _hermitian_eig(np.linalg.eigh, h)
-        x = v[:, -1]
-        val = abs(complex(np.vdot(x, a @ x)))
+    for k in top:
+        val, x = polish(k)
         if val > best_val:
             best_val = val
             best_vec = x
-    upper = max(float(lam.max()) / math.cos(math.pi / resolution), best_val)
+    upper = max(float(lam.max()) / math.cos(math.pi / m), best_val)
     return RadiusEstimate(best_val, best_vec, upper=upper)
 
 

@@ -1,10 +1,14 @@
 """Command-line interface: file formats, exit codes, golden headers."""
 
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from numrad.cli import (
     GAIN_COLUMNS,
@@ -15,6 +19,7 @@ from numrad.cli import (
     read_matrix_file,
     write_matrix_file,
 )
+from numrad.errors import DomainError
 from numrad.harness import TrialRecord
 
 GOLDEN_HEADER = (
@@ -128,6 +133,101 @@ class TestMatrixFiles:
 
         with pytest.raises(DomainError):
             read_matrix_file(p)
+
+
+# any JSON value, NaN and infinities included (json writes and reads them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _good_entry(n):
+    pair = st.lists(st.floats(-1e3, 1e3) | st.integers(-9, 9), min_size=2, max_size=2)
+    return st.fixed_dictionaries({
+        "name": st.sampled_from(["A", "B"]),
+        "dim": st.just(n),
+        "data": st.lists(pair, min_size=n * n, max_size=n * n),
+    })
+
+
+def _spoiled(doc):
+    """``doc`` with one key dropped, or its value (or the last item of its list) replaced."""
+    key = st.sampled_from(sorted(doc))
+    dropped = key.map(lambda k: {q: v for q, v in doc.items() if q != k})
+    replaced = st.tuples(key, JSON_VALUES).map(lambda kv: {**doc, kv[0]: kv[1]})
+    listed = st.sampled_from([k for k in sorted(doc) if isinstance(doc[k], list)])
+    last_item = st.tuples(listed, JSON_VALUES).map(
+        lambda kv: {**doc, kv[0]: doc[kv[0]][:-1] + [kv[1]]})
+    return dropped | replaced | last_item
+
+
+def _spoiled_document(doc):
+    entries = doc["matrices"]
+    in_entry = st.integers(0, len(entries) - 1).flatmap(lambda i: _spoiled(entries[i]).map(
+        lambda e: {**doc, "matrices": entries[:i] + [e] + entries[i + 1 :]}))
+    return _spoiled(doc) | in_entry
+
+
+# matrix documents: well-formed, spoiled in one place (in the document or
+# in one entry), or any JSON value at all
+GOOD_DOCUMENTS = st.lists(st.integers(1, 3).flatmap(_good_entry), min_size=1, max_size=3).map(
+    lambda es: {"format_version": "1", "matrices": es})
+DOCUMENTS = GOOD_DOCUMENTS | GOOD_DOCUMENTS.flatmap(_spoiled_document) | JSON_VALUES
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "m.json"
+
+
+def _read_or_domain_error(path):
+    """The parsed matrices, or None where the reader raised DomainError."""
+    try:
+        mats = read_matrix_file(path)
+    except DomainError:
+        return None
+    for name, mat in mats.items():
+        assert isinstance(name, str)
+        assert mat.dtype == np.complex128 and mat.ndim == 2 and mat.shape[0] == mat.shape[1]
+        assert np.isfinite(mat).all()
+    return mats
+
+
+class TestMatrixFileFuzz:
+    @given(doc=DOCUMENTS)
+    def test_any_document_parses_or_is_a_domain_error(self, fuzz_file, doc):
+        fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
+        _read_or_domain_error(fuzz_file)
+
+    @given(raw=st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+    def test_any_bytes_parse_or_are_a_domain_error(self, fuzz_file, raw):
+        fuzz_file.write_bytes(raw)
+        _read_or_domain_error(fuzz_file)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000, b'{"a":' * 100_000],
+                             ids=["not-utf8", "deep-array", "deep-object"])
+    def test_undecodable_or_too_deep_is_a_domain_error(self, tmp_path, capsys, raw):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        with pytest.raises(DomainError, match="cannot read matrix file"):
+            read_matrix_file(p)
+        assert main(["radius", "--input", str(p), "--names", "A"]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    @given(doc=DOCUMENTS)
+    def test_radius_exit_code(self, fuzz_file, doc):
+        fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
+        mats = _read_or_domain_error(fuzz_file)
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            rc = main(["radius", "--input", str(fuzz_file), "--names", "A"])
+        out, err = out.getvalue(), err.getvalue()
+        if mats is None or "A" not in mats:
+            assert rc == 1 and err.startswith("error: ")
+        else:  # 0, or 1 with a typed error
+            assert rc in (0, 1)
+            assert out.endswith("]\n") if rc == 0 else err.startswith("error: ")
 
 
 class TestGen:

@@ -54,6 +54,68 @@ def grid_top_eigenvalue(t, points):
     return best
 
 
+def full_grid_radius(t, m):
+    """(value, witness, upper) of numerical_radius with every grid phase solved.
+
+    This is numerical_radius before its grid was solved coarse to fine: the
+    reference the pruned grid must match bit for bit.
+    """
+    a = np.asarray(t, dtype=complex)
+    e1 = np.zeros(a.shape[0], dtype=complex)
+    e1[0] = 1.0
+    h1 = (a + a.conj().T) / 2.0
+    h2 = 1j * (a - a.conj().T) / 2.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    half = m // 2 if m % 2 == 0 else m
+    ev = np.linalg.eigvalsh(cos_t[:half, None, None] * h1 + sin_t[:half, None, None] * h2)
+    lam = np.concatenate([ev[:, -1], -ev[:, 0]]) if half < m else ev[:, -1]
+
+    def lam_max(theta):
+        return float(np.linalg.eigvalsh(math.cos(theta) * h1 + math.sin(theta) * h2)[-1])
+
+    peaks = np.flatnonzero((lam >= np.roll(lam, 1)) & (lam >= np.roll(lam, -1)))
+    if peaks.size == 0:
+        peaks = np.array([int(np.argmax(lam))])
+    peaks = peaks[np.argsort(lam[peaks], kind="stable")[::-1][:3]]
+    step = 2.0 * math.pi / m
+    best_val, best_vec = -math.inf, e1
+    for k in peaks:
+        theta0 = float(thetas[k])
+        theta_star = radius._golden_max(lam_max, theta0 - step, theta0 + step)
+        x = np.linalg.eigh(math.cos(theta_star) * h1 + math.sin(theta_star) * h2)[1][:, -1]
+        val = abs(complex(np.vdot(x, a @ x)))
+        if val > best_val:
+            best_val, best_vec = val, x
+    return best_val, best_vec, max(float(lam.max()) / math.cos(math.pi / m), best_val)
+
+
+def tie_cases():
+    """Matrices whose top grid peaks tie in exact arithmetic, or whose lambda is flat."""
+    rng = np.random.default_rng(46)
+    unitary = [np.linalg.qr(random_complex(rng, d))[0] for d in (2, 3, 4, 6, 16)]
+    return unitary + [
+        gen_matrix(EnsembleSpec("hermitian", 5, seed=1003)),
+        NIL,
+        2.0 * np.eye(3),
+        (0.3 - 1.1j) * np.eye(4),
+        np.diag([1.0, -1.0, 1j, -1j]),
+        np.diag(np.exp(2j * math.pi * np.arange(6) / 6)),
+        2.5 * np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 5))),
+    ]
+
+
+PRUNE_RESOLUTIONS = (8, 9, 11, 16, 64, 100, 128, 720, 721, 2880)
+
+
+def assert_matches_full_grid(t, m):
+    est = numerical_radius(t, resolution=m)
+    value, witness, upper = full_grid_radius(t, m)
+    assert est.value.hex() == value.hex()
+    assert est.witness.tobytes() == witness.tobytes()
+    assert est.upper.hex() == upper.hex()
+
+
 class TestNumericalRadius:
     def test_identity(self):
         est = numerical_radius(np.eye(4))
@@ -121,6 +183,27 @@ class TestNumericalRadius:
         with pytest.raises(DomainError):
             numerical_radius(np.eye(2), resolution=4)
 
+    @pytest.mark.parametrize("resolution", [7, -720, 720.5, 720.0, "720", math.nan, None,
+                                            True, np.bool_(True), np.float64(720.0)])
+    def test_bad_resolution_is_domain_error(self, resolution):
+        with pytest.raises(DomainError, match="resolution must be an integer >= 8"):
+            numerical_radius(np.eye(2), resolution=resolution)
+
+    def test_numpy_integer_resolution(self):
+        t = random_complex(np.random.default_rng(26), 3)
+        for m in (np.int64(720), np.int32(721), np.uint16(9)):
+            est = numerical_radius(t, resolution=m)
+            ref = numerical_radius(t, resolution=int(m))
+            assert est.value == ref.value and est.upper == ref.upper
+            assert np.array_equal(est.witness, ref.witness)
+
+    def test_entries_that_overflow_the_grid(self):
+        with pytest.raises(DomainError, match="overflow the phase grid"):
+            numerical_radius(np.array([[1e308, 1e308], [0.0, -1e308]]))
+        # just inside the guard: finite, and the bracket holds
+        est = numerical_radius(np.array([[1e307, 1e307], [0.0, -1e307]]))
+        assert math.isfinite(est.upper) and 1e307 <= est.value <= est.upper
+
 
 class TestPhaseGrid:
     def test_chunk_size_does_not_change_results(self, monkeypatch):
@@ -134,6 +217,32 @@ class TestPhaseGrid:
             assert est.value == ref.value
             assert np.array_equal(est.witness, ref.witness)
             assert est.upper == ref.upper
+
+    @pytest.mark.parametrize("m", PRUNE_RESOLUTIONS)
+    def test_pruned_grid_matches_the_full_grid(self, m):
+        for t in ensemble_mix(140):
+            assert_matches_full_grid(t, m)
+
+    @pytest.mark.parametrize("m", PRUNE_RESOLUTIONS)
+    def test_pruned_grid_matches_the_full_grid_on_ties(self, m):
+        for t in tie_cases():
+            assert_matches_full_grid(t, m)
+
+    def test_pruned_grid_solves_few_phases(self, monkeypatch):
+        real = np.linalg.eigvalsh
+        solved = []
+
+        def counting(h):
+            if h.ndim == 3:  # the grid; the polish solves one phase at a time
+                solved.append(h.shape[0])
+            return real(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for seed in range(4):
+            solved.clear()
+            numerical_radius(gen_matrix(EnsembleSpec("ginibre", 16, seed=seed)), resolution=2880)
+            # the half-turn is 1440 phases; the coarse pass alone is 180
+            assert 180 <= sum(solved) < 0.25 * 1440
 
     def test_odd_resolution_matches_even(self):
         # every kind at m=721; at m=9 a bracket spans 80 degrees, which only
@@ -302,6 +411,22 @@ class TestMinimizeOverSphere:
         fb = lambda xs: np.einsum("mi,ij,mj->m", xs.conj(), m, xs).real
         est = minimize_over_sphere(None, 3, CFG, objective_batch=fb)
         assert fb(est.witness[None])[0] == pytest.approx(est.value, abs=1e-12)
+
+
+    def test_black_box_gradients_only_at_accepted_rows(self):
+        # per iteration: three trial rows per active restart, and a 2n-row
+        # stencil (n real coordinates) only for the restarts that moved
+        rows = []
+        m = np.diag(np.arange(1.0, 17.0))
+
+        def fb(xs):
+            rows.append(len(xs))
+            return np.einsum("mi,ij,mj->m", xs.conj(), m, xs).real
+
+        cfg = SphereOptConfig(restarts=6, max_iters=60, seed=16)
+        minimize_over_sphere(None, 16, cfg, objective_batch=fb)
+        n = 2 * 16
+        assert sum(rows) <= (cfg.max_iters + 1) * cfg.restarts * (3 + 2 * n)
 
 
 class TestMinimizePair:
