@@ -10,6 +10,9 @@ BoundReport:
                     refined right-hand side)
   rhs_baseline      the matching pre-refinement bound on the same samples
 
+``RULES`` declares each rule once (function, operand layout, parameter
+grid, remark) for the suite, the CLI and ``compare``.
+
 Verdict contract: lhs_lower <= rhs_refined_est means the trial is
 consistent with the rule; lhs_lower above it is merely inconclusive (the
 infimum estimate may overshoot); only lhs_lower > norm_term is a certified
@@ -26,7 +29,8 @@ concrete divergences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -331,56 +335,68 @@ def delta_ineq17(tup, x, y, *, p: float, q: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bound_thm23(
-    a_mat,
-    b_mat,
-    x_mat,
-    *,
-    nu: float,
-    r: float,
-    levels: int,
-    cfg: SphereOptConfig,
-    samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
-) -> BoundReport:
-    """Weighted product bound w^r(A^nu X B^(1-nu)) with refinement term."""
-    if r < 2.0:
-        raise DomainError(f"thm2.3 requires r >= 2, got r={r}")
-    RefinementParams(nu, levels)
+def _product_parts(a_mat, b_mat, x_mat, nu: float, r: float, tol: Tolerances, heinz: bool):
+    """Building blocks of the weighted product bound (of its Heinz mean if ``heinz``).
+
+    Returns A, B, X, A^r, B^r, the middle matrix (nu A^r + (1-nu) B^r, or
+    (A^r + B^r) / 2 for the Heinz mean), ||X||^r and the norm term.
+    """
     a = PsdMatrix.from_matrix(a_mat, tol)
     b = PsdMatrix.from_matrix(b_mat, tol)
     x = as_complex_matrix(x_mat, tol)
-    dim = require_same_dim(a.mat, b.mat, x)
+    require_same_dim(a.mat, b.mat, x)
     ar = a.power(r)
     br = b.power(r)
+    mid = (ar.mat + br.mat) / 2.0 if heinz else nu * ar.mat + (1.0 - nu) * br.mat
+    mid = PsdMatrix.from_matrix(mid, tol)
+    xnorm_r = op_norm(x, tol) ** r
+    return a, b, x, ar, br, mid, xnorm_r, xnorm_r * mid.norm()
+
+
+def _product_bound(theorem: str, a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, *, heinz):
+    """The body of thm2.3 and, with ``heinz``, of thm2.5.
+
+    The Heinz mean's product operator averages A^nu X B^(1-nu) with
+    A^(1-nu) X B^nu; its correction is half the bracket plus the swapped
+    bracket (the proof-derived form, always >= 0).
+    """
+    if r < 2.0:
+        raise DomainError(f"{theorem} requires r >= 2, got r={r}")
+    RefinementParams(nu, levels)
+    a, b, x, ar, br, mid, xnorm_r, norm_term = _product_parts(a_mat, b_mat, x_mat, nu, r, tol, heinz)
+    dim = mid.dim
     m = a.power(nu).mat @ x @ b.power(1.0 - nu).mat
+    if heinz:
+        m = (m + a.power(1.0 - nu).mat @ x @ b.power(nu).mat) / 2.0
     lhs_est = numerical_radius(m, tol=tol)
     lhs = lhs_est.value**r
-    xnorm = op_norm(x, tol)
-    mix = PsdMatrix.from_matrix(nu * ar.mat + (1.0 - nu) * br.mat, tol)
-    norm_term = xnorm**r * mix.norm()
 
-    eta = _bracket_objective([ar, br], [0], [1], nu, levels)
+    ia, ib, factor = ([0, 1], [1, 0], 0.5) if heinz else ([0], [1], 1.0)
+    eta = _bracket_objective([ar, br], ia, ib, nu, levels)
     inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta)
-    vecs = _sample_vectors(dim, samples, [ar, br, mix], [lhs_est.witness, inf_est.witness], cfg.seed)
+    vecs = _sample_vectors(dim, samples, [ar, br, mid], [lhs_est.witness, inf_est.witness], cfg.seed)
     eta_s = eta(vecs)
-    eta_min = float(min(eta_s.min(), inf_est.value))
-    refinement_upper = xnorm**r * eta_min
+    refinement_upper = xnorm_r * factor * float(min(eta_s.min(), inf_est.value))
 
     lhs_pts = np.abs(quad_forms_many(m, vecs)) ** r
-    mid = np.maximum(quad_forms_many(mix.mat, vecs).real, 0.0)
-    rhs_pts = xnorm**r * (mid - eta_s)
+    mid_s = np.maximum(quad_forms_many(mid.mat, vecs).real, 0.0)
+    rhs_pts = xnorm_r * (mid_s - factor * eta_s)
     pw_viol = _count_violations(lhs_pts, rhs_pts)
     dom_viol = _count_dominance(eta_s, np.zeros_like(eta_s))
 
     extras = {}
-    if levels == 1:
+    if heinz:
+        printed = weighted_bracket_sum(
+            ar.quad_many(vecs), br.quad_many(vecs), nu, levels, mode="printed_heinz"
+        )
+        extras["printed_refinement_upper"] = xnorm_r * 0.5 * float(printed.min())
+    elif levels == 1:
         r0 = min(nu, 1.0 - nu)
         closed = r0 * (np.sqrt(ar.quad_many(vecs)) - np.sqrt(br.quad_many(vecs))) ** 2
         extras["n1_agreement"] = float(np.max(np.abs(eta_s - closed)))
 
     return _report(
-        "thm2.3",
+        theorem,
         dim,
         1,
         nu_or_alpha=nu,
@@ -397,6 +413,22 @@ def bound_thm23(
         inf_witness=inf_est.witness,
         extras=extras,
     )
+
+
+def bound_thm23(
+    a_mat,
+    b_mat,
+    x_mat,
+    *,
+    nu: float,
+    r: float,
+    levels: int,
+    cfg: SphereOptConfig,
+    samples: int = 256,
+    tol: Tolerances = DEFAULT_TOL,
+) -> BoundReport:
+    """Weighted product bound w^r(A^nu X B^(1-nu)) with refinement term."""
+    return _product_bound("thm2.3", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, heinz=False)
 
 
 def bound_thm25_heinz(
@@ -418,77 +450,21 @@ def bound_thm25_heinz(
     variant can be negative for two or more levels, so it is carried in
     ``extras['printed_refinement_upper']`` only.
     """
-    if r < 2.0:
-        raise DomainError(f"thm2.5 requires r >= 2, got r={r}")
-    RefinementParams(nu, levels)
-    a = PsdMatrix.from_matrix(a_mat, tol)
-    b = PsdMatrix.from_matrix(b_mat, tol)
-    x = as_complex_matrix(x_mat, tol)
-    dim = require_same_dim(a.mat, b.mat, x)
-    ar = a.power(r)
-    br = b.power(r)
-    m = (
-        a.power(nu).mat @ x @ b.power(1.0 - nu).mat
-        + a.power(1.0 - nu).mat @ x @ b.power(nu).mat
-    ) / 2.0
-    lhs_est = numerical_radius(m, tol=tol)
-    lhs = lhs_est.value**r
-    xnorm = op_norm(x, tol)
-    half = PsdMatrix.from_matrix((ar.mat + br.mat) / 2.0, tol)
-    norm_term = xnorm**r * half.norm()
-
-    # the proof-derived correction: the bracket plus the swapped bracket
-    derived = _bracket_objective([ar, br], [0, 1], [1, 0], nu, levels)
-
-    def zeta_printed(xs: np.ndarray) -> np.ndarray:
-        return weighted_bracket_sum(
-            ar.quad_many(xs), br.quad_many(xs), nu, levels, mode="printed_heinz"
-        )
-
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=derived)
-    vecs = _sample_vectors(dim, samples, [ar, br, half], [lhs_est.witness, inf_est.witness], cfg.seed)
-    zd = derived(vecs)
-    refinement_upper = xnorm**r * 0.5 * float(min(zd.min(), inf_est.value))
-
-    lhs_pts = np.abs(quad_forms_many(m, vecs)) ** r
-    mid = np.maximum(quad_forms_many(half.mat, vecs).real, 0.0)
-    rhs_pts = xnorm**r * (mid - 0.5 * zd)
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
-    dom_viol = _count_dominance(zd, np.zeros_like(zd))
-
-    extras = {
-        "printed_refinement_upper": xnorm**r * 0.5 * float(zeta_printed(vecs).min())
-    }
-
-    return _report(
-        "thm2.5",
-        dim,
-        1,
-        nu_or_alpha=nu,
-        r=r,
-        levels=levels,
-        lhs=lhs,
-        norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_baseline=norm_term,
-        pw_viol=pw_viol,
-        pw_n=len(vecs),
-        dom_viol=dom_viol,
-        lhs_witness=lhs_est.witness,
-        inf_witness=inf_est.witness,
-        extras=extras,
-    )
+    return _product_bound("thm2.5", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, heinz=True)
 
 
 def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances, fg=None):
-    """Per-triple PSD building blocks for the sandwich bound."""
-    fs, gs, fps, gps, ops = [], [], [], [], []
+    """Building blocks of the sandwich bound.
+
+    Returns the per-triple F_i^p and G_i^p, sum_i F_i^(rp) + G_i^(rp), the
+    coefficient n^(1 - 1/r) / 2^(1/r), the norm term and the operators
+    A_i* T_i B_i.
+    """
+    mats = [[as_complex_matrix(m, tol) for m in triple] for triple in triples]
+    require_same_dim(*(m for triple in mats for m in triple))
+    fps, gps, ops = [], [], []
     sum_rp = None
-    for a_i, t_i, b_i in triples:
-        a_m = as_complex_matrix(a_i, tol)
-        t_m = as_complex_matrix(t_i, tol)
-        b_m = as_complex_matrix(b_i, tol)
-        require_same_dim(a_m, t_m, b_m)
+    for a_m, t_m, b_m in mats:
         at, aa = abs_pair(t_m, tol)
         if fg is None:
             f2 = at.power(2.0 * alpha).mat
@@ -500,14 +476,14 @@ def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances, 
             g2 = aa.apply(lambda s: g_fn(s) ** 2).mat
         f_i = PsdMatrix.from_matrix(hermitian_part(b_m.conj().T @ f2 @ b_m), tol)
         g_i = PsdMatrix.from_matrix(hermitian_part(a_m.conj().T @ g2 @ a_m), tol)
-        fs.append(f_i)
-        gs.append(g_i)
         fps.append(f_i.power(p))
         gps.append(g_i.power(p))
         term = f_i.power(r * p).mat + g_i.power(r * p).mat
         sum_rp = term if sum_rp is None else sum_rp + term
         ops.append(a_m.conj().T @ t_m @ b_m)
-    return fs, gs, fps, gps, PsdMatrix.from_matrix(sum_rp, tol), ops
+    sum_rp = PsdMatrix.from_matrix(sum_rp, tol)
+    coef = len(mats) ** (1.0 - 1.0 / r) / 2.0 ** (1.0 / r)
+    return fps, gps, sum_rp, coef, coef * sum_rp.norm() ** (1.0 / r), ops
 
 
 def bound_thm26(
@@ -546,10 +522,8 @@ def bound_thm26(
     n = len(triples)
     if n < 1:
         raise DomainError("at least one operator triple is required")
-    fs, gs, fps, gps, sum_rp, ops = _sandwich_parts(triples, alpha, p, r, tol, fg)
+    fps, gps, sum_rp, coef, norm_term, ops = _sandwich_parts(triples, alpha, p, r, tol, fg)
     dim = sum_rp.dim
-    coef = n ** (1.0 - 1.0 / r) / 2.0 ** (1.0 / r)
-    norm_term = coef * sum_rp.norm() ** (1.0 / r)
     lhs_est = wp_radius(ops, p, cfg, tol)
     lhs = lhs_est.value**p
 
@@ -665,6 +639,24 @@ def bound_cor210(
     )
 
 
+def _per_operator_parts(tup, alpha: float, p: float, tol: Tolerances):
+    """Building blocks of the per-operator bound: the operators T_i,
+    U_i = |T_i|^(2 alpha), V_i = |T_i*|^(2 (1-alpha)), U_i^p, V_i^p and U_i + V_i."""
+    mats = [as_complex_matrix(t, tol) for t in tup]
+    require_same_dim(*mats)
+    us, vs, ups, vps, sums = [], [], [], [], []
+    for t_m in mats:
+        at, aa = abs_pair(t_m, tol)
+        u_i = at.power(2.0 * alpha)
+        v_i = aa.power(2.0 * (1.0 - alpha))
+        us.append(u_i)
+        vs.append(v_i)
+        ups.append(at.power(2.0 * alpha * p))
+        vps.append(aa.power(2.0 * (1.0 - alpha) * p))
+        sums.append(PsdMatrix.from_matrix(u_i.mat + v_i.mat, tol))
+    return mats, us, vs, ups, vps, sums
+
+
 def bound_thm211(
     tup,
     *,
@@ -687,19 +679,9 @@ def bound_thm211(
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"thm2.11 requires 0 <= alpha <= 1, got {alpha}")
     RefinementParams(0.5, levels)
-    mats = [as_complex_matrix(t, tol) for t in tup]
-    dim = require_same_dim(*mats)
+    mats, us, vs, ups, vps, sums = _per_operator_parts(tup, alpha, p, tol)
+    dim = sums[0].dim
     n = len(mats)
-    us, vs, ups, vps, sums = [], [], [], [], []
-    for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
-        u_i = at.power(2.0 * alpha)
-        v_i = aa.power(2.0 * (1.0 - alpha))
-        us.append(u_i)
-        vs.append(v_i)
-        ups.append(at.power(2.0 * alpha * p))
-        vps.append(aa.power(2.0 * (1.0 - alpha) * p))
-        sums.append(PsdMatrix.from_matrix(u_i.mat + v_i.mat, tol))
     norms = [s.norm() for s in sums]
     norm_term = 0.5 * float(np.sum(np.array(norms) ** p)) ** (1.0 / p)
 
@@ -767,6 +749,24 @@ def bound_thm211(
     )
 
 
+def _abs_power_parts(tup, alpha: float, p: float, tol: Tolerances):
+    """Building blocks of the absolute-power bound: the operators T_i,
+    |T_i|^p, |T_i*|^p and sum_i alpha |T_i|^p + (1-alpha) |T_i*|^p."""
+    mats = [as_complex_matrix(t, tol) for t in tup]
+    require_same_dim(*mats)
+    ps_, qs_ = [], []
+    mix_sum = None
+    for t_m in mats:
+        at, aa = abs_pair(t_m, tol)
+        p_i = at.power(p)
+        q_i = aa.power(p)
+        ps_.append(p_i)
+        qs_.append(q_i)
+        term = alpha * p_i.mat + (1.0 - alpha) * q_i.mat
+        mix_sum = term if mix_sum is None else mix_sum + term
+    return mats, ps_, qs_, PsdMatrix.from_matrix(mix_sum, tol)
+
+
 def bound_thm213(
     tup,
     *,
@@ -782,20 +782,9 @@ def bound_thm213(
     if p < 2.0:
         raise DomainError(f"{theorem} requires p >= 2, got p={p}")
     RefinementParams(alpha, levels)
-    mats = [as_complex_matrix(t, tol) for t in tup]
-    dim = require_same_dim(*mats)
+    mats, ps_, qs_, mix = _abs_power_parts(tup, alpha, p, tol)
+    dim = mix.dim
     n = len(mats)
-    ps_, qs_ = [], []
-    mix_sum = None
-    for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
-        p_i = at.power(p)
-        q_i = aa.power(p)
-        ps_.append(p_i)
-        qs_.append(q_i)
-        term = alpha * p_i.mat + (1.0 - alpha) * q_i.mat
-        mix_sum = term if mix_sum is None else mix_sum + term
-    mix = PsdMatrix.from_matrix(mix_sum, tol)
     norm_term = mix.norm()
 
     lhs_est = wp_radius(mats, p, cfg, tol)
@@ -929,6 +918,25 @@ def _pair_samples(
     return x_all, y_all
 
 
+def _two_exponent_parts(tup, p: float, q: float, r: float, tol: Tolerances):
+    """Building blocks of the two-exponent product bound: the operators T_i,
+    |T_i|, |T_i*|, sum_i |T_i|^p, sum_i |T_i*|^q and the norm term."""
+    mats = [as_complex_matrix(t, tol) for t in tup]
+    require_same_dim(*mats)
+    ats, aas = [], []
+    p_sum = None
+    q_sum = None
+    for t_m in mats:
+        at, aa = abs_pair(t_m, tol)
+        ats.append(at)
+        aas.append(aa)
+        p_sum = at.power(p).mat if p_sum is None else p_sum + at.power(p).mat
+        q_sum = aa.power(q).mat if q_sum is None else q_sum + aa.power(q).mat
+    p_mat = PsdMatrix.from_matrix(p_sum, tol)
+    q_mat = PsdMatrix.from_matrix(q_sum, tol)
+    return mats, ats, aas, p_mat, q_mat, (r / p) * p_mat.norm() + (r / q) * q_mat.norm()
+
+
 def bound_thm216(
     tup,
     *,
@@ -952,21 +960,9 @@ def bound_thm216(
         raise DomainError(f"{theorem} requires 1/p + 1/q = 1/r, got p={p}, q={q}, r={r}")
     nu = r / p
     RefinementParams(nu, levels)
-    mats = [as_complex_matrix(t, tol) for t in tup]
-    dim = require_same_dim(*mats)
+    mats, ats, aas, p_mat, q_mat, norm_term = _two_exponent_parts(tup, p, q, r, tol)
+    dim = p_mat.dim
     n = len(mats)
-    ats, aas = [], []
-    p_sum = None
-    q_sum = None
-    for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
-        ats.append(at)
-        aas.append(aa)
-        p_sum = at.power(p).mat if p_sum is None else p_sum + at.power(p).mat
-        q_sum = aa.power(q).mat if q_sum is None else q_sum + aa.power(q).mat
-    p_mat = PsdMatrix.from_matrix(p_sum, tol)
-    q_mat = PsdMatrix.from_matrix(q_sum, tol)
-    norm_term = (r / p) * p_mat.norm() + (r / q) * q_mat.norm()
 
     west_p = wp_radius([at.mat for at in ats], p, cfg, tol)
     west_q = wp_radius([aa.mat for aa in aas], q, cfg, tol)
@@ -1080,6 +1076,99 @@ def bound_cor219(
 
 
 # ---------------------------------------------------------------------------
+# the rule table
+# ---------------------------------------------------------------------------
+
+
+def _ps(cfg) -> tuple[float, ...]:
+    """The configured p values that a rule needing p >= 1 admits."""
+    return tuple(p for p in cfg.p_grid if p >= 1.0) or (1.0,)
+
+
+def _ps_hi(cfg) -> tuple[float, ...]:
+    """The configured p values that a rule needing p >= 2 admits."""
+    return tuple(p for p in cfg.p_grid if p >= 2.0) or (2.0, 3.0)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What the suite, the CLI and ``compare`` need to know of one bound rule.
+
+    fn      the name of its function in this module, looked up at call time
+    kinds   the kinds of one operand group: "positive" and "general" cycle
+            with the trial through the suite's PSD and general ensembles;
+            any other name is an ensemble kind, drawn as it is
+    groups  the fixed number of operand groups, or None for one or more
+            (the suite draws its n_ops)
+    bump    the seed bump of the first operand the suite draws; the i-th
+            operand gets bump + i
+    params  the keyword parameters it takes, in grid order
+    grid    the suite's parameter points, as value tuples in ``params``
+            order, from a SuiteConfig
+    remark  the remark that compares its refinement with the baseline
+    """
+
+    fn: str
+    kinds: tuple[str, ...]
+    groups: int | None
+    bump: int
+    params: tuple[str, ...]
+    grid: Callable[[object], Iterable[tuple]]
+    remark: str | None = None
+
+    def takes(self, count: int) -> bool:
+        """Whether ``count`` operands fit the layout."""
+        k = len(self.kinds)
+        return count == self.groups * k if self.groups else count >= k and count % k == 0
+
+    def layout(self) -> str:
+        """What the layout takes, in words."""
+        kinds = ", ".join(self.kinds * (self.groups or 1))
+        if self.groups:
+            return f"{self.groups * len(self.kinds)} operands ({kinds})"
+        if len(self.kinds) == 1:
+            return f"one or more operands ({kinds})"
+        return f"one or more groups of {len(self.kinds)} operands ({kinds})"
+
+    def arrange(self, ops: Sequence) -> tuple:
+        """``fn``'s positional operand arguments from a flat list that fits the layout."""
+        if self.groups:
+            return tuple(ops)
+        k = len(self.kinds)
+        return ([tuple(ops[i : i + k]) for i in range(0, len(ops), k)] if k > 1 else list(ops),)
+
+
+_GENERAL = ("general",)
+_PRODUCT = ("positive", "positive", "general")
+
+# theorem id -> Rule(fn, kinds, groups, bump, params, grid, remark); the
+# order is the suite's, and trial seeds depend on it
+RULES = {
+    "thm2.3": Rule("bound_thm23", _PRODUCT, 1, 1, ("nu", "r", "levels"),
+                   lambda cfg: product(cfg.nu_alpha_grid, (2.0,), cfg.levels_grid), "remark2.4"),
+    "thm2.5": Rule("bound_thm25_heinz", _PRODUCT, 1, 1, ("nu", "r", "levels"),
+                   lambda cfg: product(cfg.nu_alpha_grid, (2.0,), cfg.levels_grid)),
+    "thm2.6": Rule("bound_thm26", _GENERAL * 3, None, 10, ("alpha", "p", "r", "levels"),
+                   lambda cfg: product(cfg.nu_alpha_grid, (1.0,), (2.0,), cfg.levels_grid)),
+    "cor2.7": Rule("bound_cor27", _GENERAL * 2, None, 10, ("p", "r", "levels"),
+                   lambda cfg: ((p, r, n) for p, r in ((1.0, 1.0), (2.0, 2.0)) for n in cfg.levels_grid)),
+    "cor2.8": Rule("bound_cor28", _GENERAL, None, 10, ("alpha", "p", "r", "levels"),
+                   lambda cfg: product(cfg.nu_alpha_grid, _ps(cfg), (1.0,), cfg.levels_grid), "remark2.9"),
+    "cor2.10": Rule("bound_cor210", _GENERAL, 2, 10, ("alpha", "p"),
+                    lambda cfg: product(cfg.nu_alpha_grid, (max(_ps(cfg)),))),
+    "thm2.11": Rule("bound_thm211", _GENERAL, None, 10, ("alpha", "p", "levels"),
+                    lambda cfg: product(cfg.nu_alpha_grid, _ps(cfg), cfg.levels_grid), "remark2.12"),
+    "thm2.13": Rule("bound_thm213", _GENERAL, None, 10, ("alpha", "p", "levels"),
+                    lambda cfg: product(cfg.nu_alpha_grid, _ps_hi(cfg), cfg.levels_grid), "remark2.14"),
+    "cor2.15": Rule("bound_cor215", _GENERAL, 2, 10, ("p",), lambda cfg: product(_ps_hi(cfg))),
+    "thm2.16": Rule("bound_thm216", _GENERAL, None, 10, ("p", "q", "r", "levels"),
+                    lambda cfg: ((*pqr, n) for pqr in cfg.pqr_grid for n in cfg.levels_grid), "remark2.17"),
+    "cor2.18": Rule("bound_cor218", _GENERAL, None, 10, ("levels",), lambda cfg: product(cfg.levels_grid)),
+    "cor2.19": Rule("bound_cor219", ("psd",), None, 10, (), lambda cfg: [()]),
+}
+
+
+# ---------------------------------------------------------------------------
 # pre-refinement right-hand sides
 # ---------------------------------------------------------------------------
 
@@ -1094,100 +1183,61 @@ def baseline_rhs(
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Right-hand side of a pre-refinement rule, with its own subtracted
-    term estimated on the supplied sample vectors (pairs for rule 1.7)."""
+    term estimated on the supplied sample vectors (pairs for rule 1.7).
+
+    Each is the norm term of a bound rule's family less the smallest
+    level-1 correction on the vectors, both built from the family's parts:
+    1.8 and 1.9 the weighted product and Heinz bounds (no correction), 1.3
+    the sandwich bound, 1.4 and 1.5 the per-operator bound (its p-free and
+    its p-inflated blocks), 1.6 and 2.8 the absolute-power bound (2.8 at
+    alpha = 1/2, no correction), 1.7 the two-exponent bound.
+    """
     if ineq_id not in BASELINE_IDS:
         raise DomainError(f"unknown baseline rule {ineq_id!r}")
 
+    def level1_min(firsts, seconds, nu: float) -> float:
+        n = len(firsts)
+        eta = _bracket_objective(firsts + seconds, range(n), range(n, 2 * n), nu, 1)
+        return float(eta(vectors).min())
+
     if ineq_id in ("1.8", "1.9"):
-        a = PsdMatrix.from_matrix(operands[0], tol)
-        b = PsdMatrix.from_matrix(operands[1], tol)
-        x = as_complex_matrix(operands[2], tol)
         r = float(params["r"])
         if r < 2.0:
             raise DomainError(f"rule {ineq_id} requires r >= 2, got {r}")
-        if ineq_id == "1.8":
-            alpha = float(params["alpha"])
-            mix = PsdMatrix.from_matrix(
-                alpha * a.power(r).mat + (1.0 - alpha) * b.power(r).mat, tol
-            )
-            return op_norm(x, tol) ** r * mix.norm()
-        half = PsdMatrix.from_matrix((a.power(r).mat + b.power(r).mat) / 2.0, tol)
-        return op_norm(x, tol) ** r * half.norm()
+        heinz = ineq_id == "1.9"
+        nu = 0.5 if heinz else float(params["alpha"])
+        a, b, x = operands[0], operands[1], operands[2]
+        return _product_parts(a, b, x, nu, r, tol, heinz)[-1]
 
     if ineq_id == "2.8":
         p = float(params["p"])
         if p < 2.0:
             raise DomainError(f"rule 2.8 requires p >= 2, got {p}")
-        bt, ba = abs_pair(as_complex_matrix(operands[0], tol), tol)
-        ct, ca = abs_pair(as_complex_matrix(operands[1], tol), tol)
-        total = (
-            bt.power(p).mat + ba.power(p).mat + ct.power(p).mat + ca.power(p).mat
-        )
-        return 0.5 * PsdMatrix.from_matrix(total, tol).norm()
+        return _abs_power_parts(operands[:2], 0.5, p, tol)[-1].norm()
 
     if ineq_id == "1.3":
-        alpha = float(params["alpha"])
-        p = float(params["p"])
-        r = float(params["r"])
-        fs, gs, fps, gps, sum_rp, _ = _sandwich_parts(operands, alpha, p, r, tol)
-        n = len(operands)
-        coef = n ** (1.0 - 1.0 / r) / 2.0 ** (1.0 / r)
-        zeta = np.zeros(vectors.shape[0])
-        for fp, gp in zip(fps, gps):
-            zeta += 0.5 * (
-                np.sqrt(fp.quad_many(vectors)) - np.sqrt(gp.quad_many(vectors))
-            ) ** 2
-        return coef * sum_rp.norm() ** (1.0 / r) - float(zeta.min())
+        alpha, p, r = float(params["alpha"]), float(params["p"]), float(params["r"])
+        fps, gps, _, _, norm_term, _ = _sandwich_parts(operands, alpha, p, r, tol)
+        return norm_term - level1_min(fps, gps, 0.5)
 
-    mats = [as_complex_matrix(t, tol) for t in operands]
-    if ineq_id == "1.4":
-        alpha = float(params["alpha"])
-        p = float(params["p"])
-        total = 0.0
-        for t_m in mats:
-            at, aa = abs_pair(t_m, tol)
-            u_i = at.power(2.0 * alpha)
-            v_i = aa.power(2.0 * (1.0 - alpha))
-            norm_i = PsdMatrix.from_matrix(u_i.mat + v_i.mat, tol).norm()
-            zeta_i = 0.5 * (
-                np.sqrt(u_i.quad_many(vectors)) - np.sqrt(v_i.quad_many(vectors))
-            ) ** 2
-            total += max(norm_i - 2.0 * float(zeta_i.min()), 0.0) ** p
-        return 0.5 * total ** (1.0 / p)
-
-    if ineq_id == "1.5":
-        alpha = float(params["alpha"])
-        p = float(params["p"])
-        acc = None
-        zeta = np.zeros(vectors.shape[0])
-        for t_m in mats:
-            at, aa = abs_pair(t_m, tol)
-            u_i = at.power(2.0 * alpha * p)
-            v_i = aa.power(2.0 * (1.0 - alpha) * p)
-            acc = u_i.mat + v_i.mat if acc is None else acc + u_i.mat + v_i.mat
-            zeta += 0.5 * (
-                np.sqrt(u_i.quad_many(vectors)) - np.sqrt(v_i.quad_many(vectors))
-            ) ** 2
-        return 0.5 * PsdMatrix.from_matrix(acc, tol).norm() - float(zeta.min())
+    if ineq_id in ("1.4", "1.5"):
+        alpha, p = float(params["alpha"]), float(params["p"])
+        _, us, vs, ups, vps, sums = _per_operator_parts(operands, alpha, p, tol)
+        if ineq_id == "1.4":
+            total = sum(
+                max(s.norm() - 2.0 * level1_min([u], [v], 0.5), 0.0) ** p
+                for u, v, s in zip(us, vs, sums)
+            )
+            return 0.5 * total ** (1.0 / p)
+        acc = PsdMatrix.from_matrix(sum(up.mat + vp.mat for up, vp in zip(ups, vps)), tol)
+        return 0.5 * acc.norm() - level1_min(ups, vps, 0.5)
 
     if ineq_id == "1.6":
-        alpha = float(params["alpha"])
-        p = float(params["p"])
+        alpha, p = float(params["alpha"]), float(params["p"])
         if p < 2.0:
             raise DomainError(f"rule 1.6 requires p >= 2, got {p}")
-        acc = None
-        zeta = np.zeros(vectors.shape[0])
-        r0 = min(alpha, 1.0 - alpha)
-        for t_m in mats:
-            at, aa = abs_pair(t_m, tol)
-            p_i = at.power(p)
-            q_i = aa.power(p)
-            term = alpha * p_i.mat + (1.0 - alpha) * q_i.mat
-            acc = term if acc is None else acc + term
-            zeta += r0 * (
-                np.sqrt(p_i.quad_many(vectors)) - np.sqrt(q_i.quad_many(vectors))
-            ) ** 2
-        return PsdMatrix.from_matrix(acc, tol).norm() - float(zeta.min())
+        _, ps_, qs_, mix = _abs_power_parts(operands, alpha, p, tol)
+        return mix.norm() - level1_min(ps_, qs_, alpha)
 
     # rule 1.7: vectors is a pair (xs, ys)
     p = float(params["p"])
@@ -1195,20 +1245,6 @@ def baseline_rhs(
     r = float(params["r"])
     if not (p >= q >= 1.0) or abs(1.0 / p + 1.0 / q - 1.0 / r) > 1e-12:
         raise DomainError("rule 1.7 requires p >= q >= 1 with 1/p + 1/q = 1/r")
-    xs, ys = vectors
-    a = np.zeros(xs.shape[0])
-    b = np.zeros(xs.shape[0])
-    p_sum = None
-    q_sum = None
-    for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
-        a += np.abs(pair_forms_many(at.mat, xs, ys)) ** p
-        b += np.abs(pair_forms_many(aa.mat, xs, ys)) ** q
-        p_sum = at.power(p).mat if p_sum is None else p_sum + at.power(p).mat
-        q_sum = aa.power(q).mat if q_sum is None else q_sum + aa.power(q).mat
-    delta = (r / p) * (np.sqrt(a) - np.sqrt(b)) ** 2
-    return (
-        (r / p) * PsdMatrix.from_matrix(p_sum, tol).norm()
-        + (r / q) * PsdMatrix.from_matrix(q_sum, tol).norm()
-        - float(delta.min())
-    )
+    _, ats, aas, _, _, norm_term = _two_exponent_parts(operands, p, q, r, tol)
+    # with p >= q, r/p <= 1/2 is the level-1 weight min(r/p, 1 - r/p)
+    return norm_term - float(_pair_objective(ats, aas, p, q, r / p, 1)(*vectors).min())

@@ -197,6 +197,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {args.trials}")
     dims = _parse_dims(args.dims)
     cfg = harness.SuiteConfig(trials=args.trials, dims=dims, master_seed=args.seed)
     if args.suite == "bounds":
@@ -246,48 +248,15 @@ def _bound_dispatch(args, mats: dict[str, np.ndarray]) -> bnd.BoundReport | bnd.
     ops = [mats[n] for n in names]
     cfg = SphereOptConfig(seed=args.seed)
     t = args.theorem
-    if t in ("thm2.3", "thm2.5"):
-        if len(ops) != 3:
-            raise DomainError(f"{t} needs operands A,B,X; got {len(ops)} names")
-        fn = bnd.bound_thm23 if t == "thm2.3" else bnd.bound_thm25_heinz
-        return fn(ops[0], ops[1], ops[2], nu=args.nu, r=args.r, levels=args.N, cfg=cfg)
-    if t == "thm2.6":
-        if len(ops) % 3 != 0:
-            raise DomainError("thm2.6 needs operand triples A1,T1,B1,...")
-        triples = [tuple(ops[i : i + 3]) for i in range(0, len(ops), 3)]
-        return bnd.bound_thm26(
-            triples, alpha=args.alpha, p=args.p, r=args.r, levels=args.N, cfg=cfg
-        )
-    if t == "cor2.7":
-        if len(ops) % 2 != 0:
-            raise DomainError("cor2.7 needs operand pairs A1,B1,...")
-        pairs = [tuple(ops[i : i + 2]) for i in range(0, len(ops), 2)]
-        return bnd.bound_cor27(pairs, p=args.p, r=args.r, levels=args.N, cfg=cfg)
-    if t == "cor2.8":
-        return bnd.bound_cor28(
-            ops, alpha=args.alpha, p=args.p, r=args.r, levels=args.N, cfg=cfg
-        )
-    if t == "cor2.10":
-        if len(ops) != 2:
-            raise DomainError("cor2.10 needs exactly two operands")
-        return bnd.bound_cor210(ops[0], ops[1], alpha=args.alpha, p=args.p, cfg=cfg)
-    if t == "thm2.11":
-        return bnd.bound_thm211(ops, alpha=args.alpha, p=args.p, levels=args.N, cfg=cfg)
-    if t == "thm2.13":
-        return bnd.bound_thm213(ops, alpha=args.alpha, p=args.p, levels=args.N, cfg=cfg)
-    if t == "cor2.15":
-        if len(ops) == 1:
-            return bnd.cartesian_check(ops[0], cfg)
-        if len(ops) == 2:
-            return bnd.bound_cor215(ops[0], ops[1], p=args.p, cfg=cfg)
-        raise DomainError("cor2.15 needs one operand (A) or two (B,C)")
-    if t == "thm2.16":
-        return bnd.bound_thm216(ops, p=args.p, q=args.q, r=args.r, levels=args.N, cfg=cfg)
-    if t == "cor2.18":
-        return bnd.bound_cor218(ops, levels=args.N, cfg=cfg)
-    if t == "cor2.19":
-        return bnd.bound_cor219(ops, cfg=cfg)
-    raise DomainError(f"unknown theorem id {t!r}")
+    rule = bnd.RULES.get(t)
+    if rule is None:
+        raise DomainError(f"unknown theorem id {t!r} (choose from {', '.join(bnd.RULES)})")
+    if t == "cor2.15" and len(ops) == 1:
+        return bnd.cartesian_check(ops[0], cfg)
+    if not rule.takes(len(ops)):
+        raise DomainError(f"{t} takes {rule.layout()}, got {len(ops)}")
+    params = {name: getattr(args, "N" if name == "levels" else name) for name in rule.params}
+    return getattr(bnd, rule.fn)(*rule.arrange(ops), cfg=cfg, **params)
 
 
 def cmd_bound(args) -> int:
@@ -339,6 +308,8 @@ def _nan_to_null(value):
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, got {args.count}")
     if args.kind not in harness.ENSEMBLE_KINDS:
         raise DomainError(
             f"unknown kind {args.kind!r} (choose from {', '.join(harness.ENSEMBLE_KINDS)})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,22 +36,8 @@ ENSEMBLE_KINDS = (
 GENERAL_KINDS = ("ginibre", "normal", "nilpotent", "hermitian", "contraction", "unitary", "diagonal")
 PSD_KINDS = ("psd", "positive_definite")
 
-ALL_THEOREMS = (
-    "thm2.3",
-    "thm2.5",
-    "thm2.6",
-    "cor2.7",
-    "cor2.8",
-    "cor2.10",
-    "thm2.11",
-    "thm2.13",
-    "cor2.15",
-    "thm2.16",
-    "cor2.18",
-    "cor2.19",
-)
-
-REMARKS = ("remark2.4", "remark2.9", "remark2.12", "remark2.14", "remark2.17")
+# the suite's rule order; trial seeds depend on each rule's index in it
+ALL_THEOREMS = tuple(bnd.RULES)
 
 LEMMA_IDS = ("lemma2.1a", "lemma2.1b", "lemma2.1c", "lemma2.2a", "lemma2.2b")
 
@@ -206,42 +192,15 @@ def aggregate(records: Sequence[TrialRecord]) -> dict:
 
 
 def theorem_points(theorem: str, cfg: SuiteConfig) -> list[dict]:
-    """Deterministic parameter grid for one bound rule.
+    """Deterministic parameter grid for one bound rule, from its ``bnd.RULES`` entry.
 
-    Per-rule exponent domains are enforced here by filtering the configured
+    Per-rule exponent domains are enforced there by filtering the configured
     grids (with a safe fallback), so every generated point is admissible.
     """
-    nus = cfg.nu_alpha_grid
-    lvs = cfg.levels_grid
-    ps = tuple(p for p in cfg.p_grid if p >= 1.0) or (1.0,)
-    ps_hi = tuple(p for p in cfg.p_grid if p >= 2.0) or (2.0, 3.0)
-    if theorem == "thm2.3":
-        return [{"nu": v, "r": 2.0, "levels": n} for v in nus for n in lvs]
-    if theorem == "thm2.5":
-        return [{"nu": v, "r": 2.0, "levels": n} for v in nus for n in lvs]
-    if theorem == "thm2.6":
-        return [{"alpha": v, "p": 1.0, "r": 2.0, "levels": n} for v in nus for n in lvs]
-    if theorem == "cor2.7":
-        return [{"p": p, "r": r, "levels": n} for (p, r) in ((1.0, 1.0), (2.0, 2.0)) for n in lvs]
-    if theorem == "cor2.8":
-        return [{"alpha": v, "p": p, "r": 1.0, "levels": n} for v in nus for p in ps for n in lvs]
-    if theorem == "cor2.10":
-        return [{"alpha": v, "p": max(ps)} for v in nus]
-    if theorem == "thm2.11":
-        return [{"alpha": v, "p": p, "levels": n} for v in nus for p in ps for n in lvs]
-    if theorem == "thm2.13":
-        return [{"alpha": v, "p": p, "levels": n} for v in nus for p in ps_hi for n in lvs]
-    if theorem == "cor2.15":
-        return [{"p": p} for p in ps_hi] or [{"p": 2.0}]
-    if theorem == "thm2.16":
-        return [
-            {"p": p, "q": q, "r": r, "levels": n} for (p, q, r) in cfg.pqr_grid for n in lvs
-        ]
-    if theorem == "cor2.18":
-        return [{"levels": n} for n in lvs]
-    if theorem == "cor2.19":
-        return [{}]
-    raise DomainError(f"unknown theorem id {theorem!r}")
+    rule = bnd.RULES.get(theorem)
+    if rule is None:
+        raise DomainError(f"unknown theorem id {theorem!r}")
+    return [dict(zip(rule.params, values)) for values in rule.grid(cfg)]
 
 
 def _trial_seed(cfg: SuiteConfig, *key: int) -> int:
@@ -253,14 +212,22 @@ def _draw(kind: str, dim: int, seed: int, bump: int) -> np.ndarray:
     return gen_matrix(EnsembleSpec(kind=kind, dim=dim, seed=seed + bump))
 
 
+# the ensembles a rule's "general" and "positive" operands cycle through
+_KIND_CYCLES = {"general": GENERAL_KINDS, "positive": PSD_KINDS}
+
+
 def run_trial(theorem: str, point: dict, trial: int, pt_idx: int, cfg: SuiteConfig) -> TrialRecord:
     """One bound rule on fresh random operands at one parameter point."""
     thm_idx = ALL_THEOREMS.index(theorem)
+    rule = bnd.RULES[theorem]
     seed = _trial_seed(cfg, thm_idx, pt_idx, trial)
     dim = cfg.dims[trial % len(cfg.dims)]
     n_ops = cfg.n_ops_grid[trial % len(cfg.n_ops_grid)]
-    kind = GENERAL_KINDS[trial % len(GENERAL_KINDS)]
-    psd_kind = PSD_KINDS[trial % len(PSD_KINDS)]
+    kinds = []
+    for kind in rule.kinds * (rule.groups or n_ops):
+        cycle = _KIND_CYCLES.get(kind, (kind,))
+        kinds.append(cycle[trial % len(cycle)])
+    ensemble = "+".join(dict.fromkeys(kinds))
     sphere = SphereOptConfig(
         restarts=cfg.sphere.restarts,
         max_iters=cfg.sphere.max_iters,
@@ -270,54 +237,13 @@ def run_trial(theorem: str, point: dict, trial: int, pt_idx: int, cfg: SuiteConf
         init_step=cfg.sphere.init_step,
     )
     t0 = time.perf_counter()
-    ensemble = kind
     rep = None
     status_override = None
     try:
-        if theorem in ("thm2.3", "thm2.5"):
-            a = _draw(psd_kind, dim, seed, 1)
-            b = _draw(psd_kind, dim, seed, 2)
-            x = _draw(kind, dim, seed, 3)
-            ensemble = f"{psd_kind}+{kind}"
-            fn = bnd.bound_thm23 if theorem == "thm2.3" else bnd.bound_thm25_heinz
-            rep = fn(a, b, x, cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point)
-        elif theorem == "thm2.6":
-            triples = [
-                (
-                    _draw(kind, dim, seed, 10 + 3 * i),
-                    _draw(kind, dim, seed, 11 + 3 * i),
-                    _draw(kind, dim, seed, 12 + 3 * i),
-                )
-                for i in range(n_ops)
-            ]
-            rep = bnd.bound_thm26(triples, cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point)
-        elif theorem == "cor2.7":
-            pairs = [
-                (_draw(kind, dim, seed, 10 + 2 * i), _draw(kind, dim, seed, 11 + 2 * i))
-                for i in range(n_ops)
-            ]
-            rep = bnd.bound_cor27(pairs, cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point)
-        elif theorem in ("cor2.8", "thm2.11", "thm2.13", "thm2.16", "cor2.18"):
-            tup = [_draw(kind, dim, seed, 10 + i) for i in range(n_ops)]
-            fn = {
-                "cor2.8": bnd.bound_cor28,
-                "thm2.11": bnd.bound_thm211,
-                "thm2.13": bnd.bound_thm213,
-                "thm2.16": bnd.bound_thm216,
-                "cor2.18": bnd.bound_cor218,
-            }[theorem]
-            rep = fn(tup, cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point)
-        elif theorem in ("cor2.10", "cor2.15"):
-            b = _draw(kind, dim, seed, 10)
-            c = _draw(kind, dim, seed, 11)
-            fn = bnd.bound_cor210 if theorem == "cor2.10" else bnd.bound_cor215
-            rep = fn(b, c, cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point)
-        elif theorem == "cor2.19":
-            ensemble = "psd"
-            tup = [_draw("psd", dim, seed, 10 + i) for i in range(n_ops)]
-            rep = bnd.bound_cor219(tup, cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point)
-        else:
-            raise DomainError(f"unknown theorem id {theorem!r}")
+        ops = [_draw(kind, dim, seed, rule.bump + i) for i, kind in enumerate(kinds)]
+        rep = getattr(bnd, rule.fn)(
+            *rule.arrange(ops), cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point
+        )
     except NumradError as exc:
         status_override = f"error-{type(exc).__name__}"
     wall = time.perf_counter() - t0
@@ -382,6 +308,8 @@ def lemma_suite(cfg: SuiteConfig) -> SuiteReport:
     (it fails on generic inputs), never asserted.
     """
     cases = cfg.trials
+    if cases < 1:
+        raise DomainError(f"the lemma sweeps need at least one case, got trials={cases}")
     records: list[TrialRecord] = []
     slack = 1e-10
 
@@ -483,33 +411,20 @@ def lemma_suite(cfg: SuiteConfig) -> SuiteReport:
 # refined-versus-baseline comparisons
 # ---------------------------------------------------------------------------
 
-_REMARK_THEOREM = {
-    "remark2.4": "thm2.3",
-    "remark2.9": "cor2.8",
-    "remark2.12": "thm2.11",
-    "remark2.14": "thm2.13",
-    "remark2.17": "thm2.16",
-}
-
-
 def compare_refinements(cfg: SuiteConfig) -> SuiteReport:
     """Sample-wise dominance of each refined correction over its baseline.
 
-    Reuses the bound evaluations; a record's pointwise_violations column
-    carries the count of samples where the refined correction fell below
-    the baseline one, and refinement_gain the aggregate gain.
+    The suite's records of the rules that have a remark, relabelled: a
+    record's pointwise_violations column carries the count of samples where
+    the refined correction fell below the baseline one, and
+    refinement_gain the aggregate gain.
     """
-    records: list[TrialRecord] = []
-    for remark, theorem in _REMARK_THEOREM.items():
-        for pt_idx, point in enumerate(theorem_points(theorem, cfg)):
-            for trial in range(cfg.trials):
-                rec = run_trial(theorem, point, trial, pt_idx, cfg)
-                rec.theorem = remark
-                rec.pointwise_violations = rec.dominance_violations
-                rec.status = (
-                    bnd.VERIFIED_POINTWISE
-                    if rec.dominance_violations == 0 and not rec.status.startswith("error")
-                    else (rec.status if rec.status.startswith("error") else bnd.CERTIFIED_VIOLATION)
-                )
-                records.append(rec)
+    remarks = {theorem: rule.remark for theorem, rule in bnd.RULES.items() if rule.remark}
+    records = run_suite(replace(cfg, theorems=tuple(remarks))).records
+    for rec in records:
+        rec.theorem = remarks[rec.theorem]
+        rec.pointwise_violations = rec.dominance_violations
+        if not rec.status.startswith("error"):
+            bad = rec.dominance_violations > 0
+            rec.status = bnd.CERTIFIED_VIOLATION if bad else bnd.VERIFIED_POINTWISE
     return SuiteReport(config=cfg.echo(), records=records, aggregates=aggregate(records))

@@ -13,7 +13,6 @@ computed once and cached; the batched kernel only raises a and b to them.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +48,34 @@ class LevelIndices:
     weight: float
 
 
-def _snaps(x: float) -> bool:
-    return abs(x - round(x)) <= _SNAP * max(1.0, abs(x))
+def _snaps(x: np.ndarray) -> np.ndarray:
+    return np.abs(x - np.round(x)) <= _SNAP * np.maximum(1.0, np.abs(x))
 
 
-def _snap_floor(x: float) -> int:
-    return int(round(x)) if _snaps(x) else int(math.floor(x))
+def _snap_floor(x: np.ndarray) -> np.ndarray:
+    return np.where(_snaps(x), np.round(x), np.floor(x)).astype(np.int64)
+
+
+def _level(j: int, nu):
+    """r_j, k_j, the weight and the bracket exponents of level j.
+
+    ``nu`` is a float or an array of them; so are the results.  Where 2^j nu
+    snaps to r, the weight is that of the snapped index: 0 for even r, 1/2
+    for odd r.  np.round rounds half to even, as Python's round does.
+    Level j's squared bracket is (b^e_b1 a^e_a1 - a^e_a2 b^e_b2)^2 with the
+    exponents (e_b1, e_a1, e_a2, e_b2); e_b2 < 0 only where 2^(j-1) nu snaps
+    to 2^(j-1), at nu = 1 and within the snap tolerance below it, and the
+    weight vanishes there.
+    """
+    scaled = 2.0 ** (j - 1) * np.asarray(nu, dtype=np.float64)  # exact: power-of-two scaling
+    r = _snap_floor(2.0 * scaled)
+    k = _snap_floor(scaled)
+    scaled = np.where(_snaps(2.0 * scaled), r / 2.0, scaled)
+    sign = np.where(r % 2 == 0, 1.0, -1.0)
+    weight = sign * scaled - sign * ((r + 1) // 2)
+    two_j, half = 2.0**j, 2.0 ** (j - 1)
+    exponents = ((half - k) / two_j, k / two_j, (k + 1) / two_j, (half - k - 1) / two_j)
+    return r, k, weight, exponents
 
 
 def level_indices(level: int, nu: float) -> LevelIndices:
@@ -67,15 +88,8 @@ def level_indices(level: int, nu: float) -> LevelIndices:
         raise DomainError(f"level must lie in 1..{MAX_LEVELS}, got {level}")
     if not (0.0 <= nu <= 1.0):
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
-    level = int(level)
-    scaled = 2.0 ** (level - 1) * nu  # exact: power-of-two scaling
-    r = _snap_floor(2.0 * scaled)
-    k = _snap_floor(scaled)
-    if _snaps(2.0 * scaled):
-        scaled = r / 2.0  # the weight of the snapped index: 0 for even r, 1/2 for odd
-    sign = -1.0 if r % 2 else 1.0
-    weight = sign * scaled - sign * ((r + 1) // 2)
-    return LevelIndices(level=level, r=r, k=k, weight=float(weight))
+    r, k, weight, _ = _level(int(level), nu)
+    return LevelIndices(level=int(level), r=int(r), k=int(k), weight=float(weight))
 
 
 def printed_heinz_weight(li: LevelIndices) -> float:
@@ -92,9 +106,7 @@ def printed_heinz_weight(li: LevelIndices) -> float:
 def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], ...]:
     """Weight and bracket exponents (w, e_b1, e_a1, e_a2, e_b2) of each level with w != 0.
 
-    Level j's squared bracket is (b^e_b1 a^e_a1 - a^e_a2 b^e_b2)^2.  e_b2 < 0
-    only where 2^(j-1) nu snaps to 2^(j-1), at nu = 1 and within the snap
-    tolerance below it; the "young" weight vanishes there, so only the
+    The "young" weight vanishes where e_b2 < 0 (see ``_level``), so only the
     "half" and "printed_heinz" modes keep such a level.
     """
     terms = []
@@ -110,8 +122,7 @@ def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], 
             raise DomainError(f"unknown weight mode {mode!r}")
         if w == 0.0:
             continue
-        two_j, half, k = 2.0**j, 2.0 ** (j - 1), li.k
-        terms.append((w, (half - k) / two_j, k / two_j, (k + 1) / two_j, (half - k - 1) / two_j))
+        terms.append((w, *(float(e) for e in _level(j, nu)[3])))
     return tuple(terms)
 
 
@@ -173,14 +184,6 @@ def young_refined_gap(a: float, b: float, params: RefinementParams) -> float:
     return nu * a + (1.0 - nu) * b - s - a**nu * b ** (1.0 - nu)
 
 
-def _snaps_vec(x: np.ndarray) -> np.ndarray:
-    return np.abs(x - np.round(x)) <= _SNAP * np.maximum(1.0, np.abs(x))
-
-
-def _snap_floor_vec(x: np.ndarray) -> np.ndarray:
-    return np.where(_snaps_vec(x), np.round(x), np.floor(x)).astype(np.int64)
-
-
 def bracket_sum_vec(a: np.ndarray, b: np.ndarray, nu: np.ndarray, levels: int) -> np.ndarray:
     """Correction sum with elementwise ``nu``; fully vectorized."""
     a = np.maximum(np.asarray(a, dtype=np.float64), 0.0)
@@ -188,25 +191,12 @@ def bracket_sum_vec(a: np.ndarray, b: np.ndarray, nu: np.ndarray, levels: int) -
     nu = np.asarray(nu, dtype=np.float64)
     out = np.zeros(np.broadcast(a, b, nu).shape, dtype=np.float64)
     for j in range(1, int(levels) + 1):
-        scaled = 2.0 ** (j - 1) * nu
-        r = _snap_floor_vec(2.0 * scaled)
-        k = _snap_floor_vec(scaled)
-        # where 2^j nu snaps to r, weigh the snapped index, as level_indices does
-        scaled = np.where(_snaps_vec(2.0 * scaled), r / 2.0, scaled)
-        sign = np.where(r % 2 == 0, 1.0, -1.0)
-        w = sign * scaled - sign * ((r + 1) // 2)
-        live = w != 0.0
-        two_j = 2.0**j
-        half = 2.0 ** (j - 1)
-        # neutralize exponents where the weight vanishes: at nu = 1 the
-        # last exponent is negative and would produce inf * 0
-        kk = np.where(live, k, 0)
-        e_b1 = (half - kk) / two_j
-        e_a1 = kk / two_j
-        e_a2 = (kk + 1) / two_j
-        e_b2 = (half - kk - 1) / two_j
-        t = b**e_b1 * a**e_a1 - a**e_a2 * b**e_b2
-        out = out + np.where(live, w * t * t, 0.0)
+        _, _, w, (e_b1, e_a1, e_a2, e_b2) = _level(j, nu)
+        # where the weight vanishes, e_b2 may be negative: 0^e_b2 is inf and
+        # its term NaN, and the mask drops it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = b**e_b1 * a**e_a1 - a**e_a2 * b**e_b2
+            out = out + np.where(w != 0.0, w * t * t, 0.0)
     return out
 
 

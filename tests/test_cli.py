@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrad.cli import (
@@ -20,7 +20,7 @@ from numrad.cli import (
     write_matrix_file,
 )
 from numrad.errors import DomainError
-from numrad.harness import TrialRecord
+from numrad.harness import ALL_THEOREMS, SuiteConfig, TrialRecord, lemma_suite
 
 GOLDEN_HEADER = (
     "theorem,trial,dim,ensemble,nu_or_alpha,p,q,r,N,n_ops,lhs_lower,norm_term,"
@@ -397,3 +397,152 @@ class TestExitLogic:
     def test_column_tuples_frozen(self):
         assert ",".join(REPORT_COLUMNS) == GOLDEN_HEADER
         assert ",".join(GAIN_COLUMNS) == GOLDEN_GAIN_HEADER
+
+
+THEOREM_IDS = (
+    "thm2.3", "thm2.5", "thm2.6", "cor2.7", "cor2.8", "cor2.10",
+    "thm2.11", "thm2.13", "cor2.15", "thm2.16", "cor2.18", "cor2.19",
+)
+
+# one operand list per rule whose length no layout accepts (None: every
+# positive count fits, as for the tuple rules)
+WRONG_COUNT = {
+    "thm2.3": "I2,I2", "thm2.5": "I2,I2,I2,I2", "thm2.6": "I2,I2,I2,I2", "cor2.7": "I2,I2,I2",
+    "cor2.10": "I2", "cor2.15": "I2,I2,I2",
+}
+
+# one operand list per rule that fits its layout but mixes dimensions 2 and 3
+MIXED_DIMS = {
+    "thm2.3": "I2,I2,I3", "thm2.5": "I2,I3,I3", "thm2.6": "I2,I2,I2,I3,I3,I3",
+    "cor2.7": "I2,I2,I3,I3",
+}
+
+
+@pytest.fixture(scope="module")
+def operand_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ops") / "m.json"
+    write_matrix_file(path, [("I2", np.eye(2)), ("I3", np.eye(3))])
+    return path
+
+
+def _run(argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestBoundOperandLayout:
+    def test_theorem_ids_are_the_suite_rules_in_order(self):
+        # trial seeds depend on a rule's index in ALL_THEOREMS
+        assert ALL_THEOREMS == THEOREM_IDS
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_empty_or_wrong_sized_operand_list_exits_one(self, operand_file, theorem):
+        for operands in (",", WRONG_COUNT.get(theorem)):
+            if operands is None:
+                continue
+            rc, out, err = _run(["bound", "--theorem", theorem, "--input", str(operand_file),
+                                 "--operands", operands])
+            assert rc == 1 and out == ""
+            assert err.startswith(f"error: {theorem} takes "), err
+            assert "operands (" in err
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_mixed_dimensions_exit_one(self, operand_file, theorem):
+        extra = ["--r", "1"] if theorem == "thm2.16" else []
+        rc, _, err = _run(["bound", "--theorem", theorem, "--input", str(operand_file),
+                           "--operands", MIXED_DIMS.get(theorem, "I2,I3"), *extra])
+        assert rc == 1
+        assert err.startswith("error: operands have mixed dimensions [2, 3]"), err
+
+    def test_unknown_theorem_names_the_rules(self, operand_file):
+        rc, _, err = _run(["bound", "--theorem", "thm9.9", "--input", str(operand_file),
+                           "--operands", "I2"])
+        assert rc == 1 and "choose from thm2.3, thm2.5" in err
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("suite", ["all", "bounds", "lemmas"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_verify_needs_a_positive_trial_count(self, tmp_path, suite, trials):
+        out = tmp_path / "r.csv"
+        rc, _, err = _run(["verify", "--suite", suite, "--trials", trials, "-o", str(out)])
+        assert rc == 1 and err.startswith("error: --trials must be at least 1")
+        assert not out.exists()
+
+    def test_lemma_suite_needs_a_case(self):
+        with pytest.raises(DomainError, match="at least one case"):
+            lemma_suite(SuiteConfig(trials=0))
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_gen_needs_a_positive_count(self, tmp_path, count):
+        out = tmp_path / "g.json"
+        rc, stdout, err = _run(["gen", "--kind", "psd", "--dim", "2", "--count", count, "-o", str(out)])
+        assert rc == 1 and stdout == "" and err.startswith("error: --count must be at least 1")
+        assert not out.exists()
+
+
+# parameter values, in range and out of it
+PARAM_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.3", "0.5", "1", "1.5", "2", "4", "1e308"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_operands(tmp_path_factory):
+    """Dim-2 operands: general, PSD, nilpotent and zero."""
+    path = tmp_path_factory.mktemp("fuzz_ops") / "m.json"
+    write_matrix_file(path, [
+        ("G", np.array([[1.0, 2.0 - 1.0j], [0.5j, -1.0]])),
+        ("P", np.array([[2.0, 1.0], [1.0, 1.0]])),
+        ("N", np.array([[0.0, 1.0], [0.0, 0.0]])),
+        ("Z", np.zeros((2, 2))),
+    ])
+    return path
+
+
+def _assert_clean_exit(rc, out, err, codes=(0, 1)):
+    """An allowed exit code, ``error: ...`` on exit 1, and never a traceback."""
+    assert rc in codes
+    if rc == 1:
+        assert err.startswith("error: "), err
+    assert "Traceback" not in out + err
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=200)
+    @given(
+        theorem=st.sampled_from(THEOREM_IDS + ("thm9.9", "")),
+        names=st.lists(st.sampled_from(["G", "P", "N", "Z", "missing"]), max_size=7),
+        values=st.lists(PARAM_VALUES, min_size=5, max_size=5),
+        levels=st.sampled_from(["-1", "0", "1", "2", "33"]),
+    )
+    def test_bound_exit_code(self, fuzz_operands, theorem, names, values, levels):
+        # --flag=value, so that argparse reads "-1" as a value, not an option
+        flags = [f"--{k}={v}" for k, v in zip(["nu", "alpha", "p", "q", "r", "N"], values + [levels])]
+        with np.errstate(all="ignore"):
+            rc, out, err = _run(["bound", "--theorem", theorem, "--input", str(fuzz_operands),
+                                 "--operands", ",".join(names) or ",", *flags])
+        _assert_clean_exit(rc, out, err)
+        if rc == 0:
+            assert isinstance(_strict_json(out), dict)
+
+    @given(suite=st.sampled_from(["all", "bounds", "lemmas", "nope"]), trials=st.integers(-2, 2))
+    def test_verify_exit_code(self, tmp_path_factory, suite, trials):
+        # a positive count runs the suite itself; the bound suite is too slow to fuzz
+        if trials > 0 and suite in ("all", "bounds"):
+            suite = "lemmas"
+        out = tmp_path_factory.mktemp("verify") / "r.csv"
+        rc, stdout, err = _run(["verify", "--suite", suite, f"--trials={trials}",
+                                "--dims", "2:2", "-o", str(out)])
+        _assert_clean_exit(rc, stdout, err)
+        assert (rc == 0) == (trials > 0 and suite != "nope")
+
+    @given(kind=st.sampled_from(["psd", "ginibre", "unitary", "bogus"]),
+           dim=st.sampled_from(["-1", "0", "1", "2", "65"]), count=st.integers(-2, 2))
+    def test_gen_exit_code(self, tmp_path_factory, kind, dim, count):
+        out = tmp_path_factory.mktemp("gen") / "g.json"
+        rc, stdout, err = _run(["gen", "--kind", kind, f"--dim={dim}", f"--count={count}",
+                                "-o", str(out)])
+        _assert_clean_exit(rc, stdout, err)
+        assert (rc == 0) == (kind != "bogus" and dim in ("1", "2") and count > 0)
+        if rc == 0:
+            assert len(read_matrix_file(out)) == count
