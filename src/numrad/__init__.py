@@ -43,7 +43,6 @@ from .radius import (
 from .bounds import (
     BoundReport,
     CartesianCheck,
-    PowerPair,
     baseline_rhs,
     bound_cor27,
     bound_cor28,

@@ -13,6 +13,14 @@ BoundReport:
 ``RULES`` declares each rule once (function, operand layout, parameter
 grid, remark) for the suite, the CLI and ``compare``.
 
+A rule body checks its domain, builds its parts and its lhs radius, and
+describes the instance to ``_evaluate``, which runs the chain every rule
+shares: the infimum search of each correction objective, the sample set
+(the witnesses first), the objectives and their baseline counterparts on
+the samples, the pointwise proof chain, the dominance count and the
+report.  Only the rule's own callables differ: its pointwise lhs and rhs,
+how its minima combine, and its extras.
+
 Verdict contract: lhs_lower <= rhs_refined_est means the trial is
 consistent with the rule; lhs_lower above it is merely inconclusive (the
 infimum estimate may overshoot); only lhs_lower > norm_term is a certified
@@ -28,6 +36,7 @@ concrete divergences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -119,6 +128,18 @@ def _verdict(lhs: float, norm_term: float, rhs_refined: float, pw_viol: int, pw_
     return CONSISTENT
 
 
+def _require_finite(theorem: str, **params: float) -> None:
+    """Refuse a non-finite rule parameter before any domain check sees it.
+
+    A NaN passes every ordered comparison as false, so it slips through
+    checks like ``r < 2`` and yields a report of NaNs; an infinity
+    overflows the spectral powers.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{theorem} requires a finite {name}, got {value}")
+
+
 def _sample_vectors(
     dim: int,
     count: int,
@@ -138,75 +159,24 @@ def _sample_vectors(
     return gathered[:count]
 
 
-def _report(
-    theorem: str,
+def _pair_samples(
     dim: int,
-    n_ops: int,
-    *,
-    nu_or_alpha: float = float("nan"),
-    p: float = float("nan"),
-    q: float = float("nan"),
-    r: float = float("nan"),
-    levels: int = 1,
-    lhs: float,
-    norm_term: float,
-    refinement_upper: float,
-    rhs_baseline: float,
-    pw_viol: int,
-    pw_n: int,
-    dom_viol: int,
-    lhs_witness=None,
-    inf_witness=None,
-    inf_witness2=None,
-    extras=None,
-) -> BoundReport:
-    rhs_refined = norm_term - refinement_upper
-    return BoundReport(
-        theorem=theorem,
-        dim=dim,
-        n_ops=n_ops,
-        nu_or_alpha=nu_or_alpha,
-        p=p,
-        q=q,
-        r=r,
-        levels=levels,
-        lhs_lower=lhs,
-        norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_refined_est=rhs_refined,
-        rhs_baseline=rhs_baseline,
-        refinement_gain=rhs_baseline - rhs_refined,
-        status=_verdict(lhs, norm_term, rhs_refined, pw_viol, pw_n),
-        pointwise_violations=pw_viol,
-        pointwise_samples=pw_n,
-        dominance_violations=dom_viol,
-        lhs_witness=lhs_witness,
-        inf_witness=inf_witness,
-        inf_witness2=inf_witness2,
-        extras=extras or {},
-    )
-
-
-@dataclass(frozen=True)
-class PowerPair:
-    """The first-class function pair f(t) = t^alpha, g(t) = t^(1-alpha)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-
-def _require_splitting_pair(f_fn, g_fn, spectrum, slack: float = 1e-9):
-    """A general (f, g) pair must multiply back to the identity map on the
-    operand spectra; anything else invalidates the sandwich bound."""
-    for t in np.asarray(spectrum, dtype=np.float64):
-        prod = float(f_fn(float(t))) * float(g_fn(float(t)))
-        if not np.isfinite(prod) or abs(prod - t) > slack * max(1.0, abs(t)):
-            raise DomainError(
-                f"function pair does not satisfy f(t) g(t) = t at t={t} (got {prod})"
-            )
+    count: int,
+    psd_sources: Sequence[PsdMatrix],
+    special_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic pair sample: special pairs, matched singles, rolled singles."""
+    singles = _sample_vectors(dim, max(count // 2, 8), psd_sources, [], seed)
+    xs = [np.asarray(x).reshape(1, dim) for x, _ in special_pairs]
+    ys = [np.asarray(y).reshape(1, dim) for _, y in special_pairs]
+    xs.append(singles)
+    ys.append(singles)
+    xs.append(singles)
+    ys.append(np.roll(singles, 1, axis=0))
+    x_all = np.concatenate(xs, axis=0)[:count]
+    y_all = np.concatenate(ys, axis=0)[:count]
+    return x_all, y_all
 
 
 def _bracket_objective(
@@ -247,87 +217,107 @@ def _pair_objective(
     return _FormObjective(np.stack([m.mat for m in list(ats) + list(aas)]), "pair", g)
 
 
+def _lp_forms(ops: Sequence[np.ndarray], p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The pointwise lhs of an l^p radius: x -> sum_i |<T_i x, x>|^p at each sample row."""
+    return lambda vecs: sum(np.abs(quad_forms_many(op, vecs)) ** p for op in ops)
+
+
 # ---------------------------------------------------------------------------
-# public scalar functionals (thin wrappers used by tests and the CLI)
+# the shared evaluation chain
 # ---------------------------------------------------------------------------
 
 
-def eta_thm23(a_mat, b_mat, x, *, nu: float, r: float, levels: int) -> float:
-    """Refinement functional of the weighted product bound at one vector."""
-    RefinementParams(nu, levels)
-    ar = PsdMatrix.from_matrix(a_mat).power(r)
-    br = PsdMatrix.from_matrix(b_mat).power(r)
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    return float(weighted_bracket_sum(ar.quad_many(x), br.quad_many(x), nu, levels)[0])
+def _evaluate(
+    theorem: str,
+    dim: int,
+    n_ops: int,
+    *,
+    nu_or_alpha: float = float("nan"),
+    p: float = float("nan"),
+    q: float = float("nan"),
+    r: float = float("nan"),
+    levels: int = 1,
+    lhs: float,
+    lhs_witnesses: Sequence[np.ndarray],
+    norm_term: float,
+    psd_sources: Sequence[PsdMatrix],
+    objectives: Sequence[_FormObjective],
+    lhs_points: Callable,
+    rhs_points: Callable,
+    cfg: SphereOptConfig,
+    samples: int,
+    baselines: Sequence[_FormObjective] = (),
+    pair: bool = False,
+    combine: Callable | None = None,
+    extras: Callable | None = None,
+) -> BoundReport:
+    """Run one rule instance through the chain every bound rule shares.
 
+    Searches each correction objective for its infimum (over pairs (x, y)
+    with ``pair``), samples from the lhs witnesses then the infimum
+    witnesses (as pairs: the lhs witness pair, the infimum pairs, then each
+    lhs witness with itself), and evaluates the objectives and their
+    ``baselines`` (the level-1 or proof forms; none counts dominance
+    against zero) there.
+    ``lhs_points(*pts)`` is checked against ``rhs_points(printed,
+    baseline, *pts)``.  ``combine(minima, baseline_minima)`` gives
+    (refinement_upper, rhs_baseline); by default the one minimum is the
+    refinement and rhs_baseline subtracts the baseline's.
+    ``extras(printed, *pts)`` adds the rule's own evidence.
+    """
+    if pair:
+        inf_ests = [minimize_over_sphere_pair(None, dim, cfg, objective_batch=o) for o in objectives]
+        special = [tuple(lhs_witnesses), *((e.witness, e.witness2) for e in inf_ests)]
+        special += [(w, w) for w in lhs_witnesses]
+        pts = _pair_samples(dim, samples, psd_sources, special, cfg.seed)
+    else:
+        inf_ests = [minimize_over_sphere(None, dim, cfg, objective_batch=o) for o in objectives]
+        witnesses = [*lhs_witnesses, *(e.witness for e in inf_ests)]
+        pts = (_sample_vectors(dim, samples, psd_sources, witnesses, cfg.seed),)
+    printed = [o(*pts) for o in objectives]
+    base = [b(*pts) for b in baselines]
+    mins = [float(min(v.min(), e.value)) for v, e in zip(printed, inf_ests)]
+    base_mins = [float(b.min()) for b in base]
+    if combine is not None:
+        refinement_upper, rhs_baseline = combine(mins, base_mins)
+    else:
+        refinement_upper = mins[0] if mins else 0.0
+        rhs_baseline = norm_term - base_mins[0] if base_mins else norm_term
 
-def zeta_thm25_derived(a_mat, b_mat, x, *, nu: float, r: float, levels: int) -> float:
-    """Proof-derived Heinz correction: the two one-sided corrections summed."""
-    ar = PsdMatrix.from_matrix(a_mat).power(r)
-    br = PsdMatrix.from_matrix(b_mat).power(r)
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    a = ar.quad_many(x)
-    b = br.quad_many(x)
-    return float(
-        weighted_bracket_sum(a, b, nu, levels)[0]
-        + weighted_bracket_sum(b, a, nu, levels)[0]
+    pw_viol = _count_violations(lhs_points(*pts), rhs_points(printed, base, *pts))
+    dom_viol = sum(_count_dominance(v, b) for v, b in zip(printed, base or map(np.zeros_like, printed)))
+    report_extras = {}
+    if base and levels == 1:
+        report_extras["n1_agreement"] = float(max(np.max(np.abs(v - b)) for v, b in zip(printed, base)))
+    if extras is not None:
+        report_extras.update(extras(printed, *pts))
+
+    rhs_refined = norm_term - refinement_upper
+    pw_n = len(pts[0])
+    return BoundReport(
+        theorem=theorem,
+        dim=dim,
+        n_ops=n_ops,
+        nu_or_alpha=nu_or_alpha,
+        p=p,
+        q=q,
+        r=r,
+        levels=levels,
+        lhs_lower=lhs,
+        norm_term=norm_term,
+        refinement_upper=refinement_upper,
+        rhs_refined_est=rhs_refined,
+        rhs_baseline=rhs_baseline,
+        refinement_gain=rhs_baseline - rhs_refined,
+        status=_verdict(lhs, norm_term, rhs_refined, pw_viol, pw_n),
+        pointwise_violations=pw_viol,
+        pointwise_samples=pw_n,
+        dominance_violations=dom_viol,
+        lhs_witness=lhs_witnesses[0],
+        inf_witness=inf_ests[0].witness if inf_ests else None,
+        inf_witness2=inf_ests[0].witness2 if inf_ests else None,
+        extras=report_extras,
     )
-
-
-def zeta_thm25_printed(a_mat, b_mat, x, *, nu: float, r: float, levels: int) -> float:
-    """Heinz correction with the nu-free printed weights (evidence only)."""
-    ar = PsdMatrix.from_matrix(a_mat).power(r)
-    br = PsdMatrix.from_matrix(b_mat).power(r)
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    return float(
-        weighted_bracket_sum(
-            ar.quad_many(x), br.quad_many(x), nu, levels, mode="printed_heinz"
-        )[0]
-    )
-
-
-def eta_thm26(a_scalars, b_scalars, levels: int) -> float:
-    """Printed sandwich-bound functional: half-weighted brackets, all levels."""
-    a = np.asarray(a_scalars, dtype=np.float64)
-    b = np.asarray(b_scalars, dtype=np.float64)
-    return float(np.sum(weighted_bracket_sum(a, b, 0.5, levels, mode="half")))
-
-
-def eta_thm26_proof(a_scalars, b_scalars, levels: int) -> float:
-    """Proof-valid sandwich correction; the balanced weights vanish beyond level 1."""
-    a = np.asarray(a_scalars, dtype=np.float64)
-    b = np.asarray(b_scalars, dtype=np.float64)
-    return float(np.sum(weighted_bracket_sum(a, b, 0.5, levels, mode="young")))
-
-
-def eta_thm213(tup, x, *, alpha: float, p: float, levels: int) -> float:
-    """Per-vector correction of the weighted absolute-power bound."""
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    total = 0.0
-    for t in tup:
-        at, aa = abs_pair(t)
-        a = at.power(p).quad_many(x)
-        b = aa.power(p).quad_many(x)
-        total += float(weighted_bracket_sum(a, b, alpha, levels)[0])
-    return total
-
-
-def lambda_thm216(tup, x, y, *, p: float, q: float, r: float, levels: int) -> float:
-    """Pair correction for the two-exponent product bound (modulus reading)."""
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
-    a = 0.0
-    b = 0.0
-    for t in tup:
-        at, aa = abs_pair(t)
-        a += float(np.abs(pair_forms_many(at.mat, x, y))[0] ** p)
-        b += float(np.abs(pair_forms_many(aa.mat, x, y))[0] ** q)
-    return float(weighted_bracket_sum(a, b, r / p, levels))
-
-
-def delta_ineq17(tup, x, y, *, p: float, q: float, r: float) -> float:
-    """Level-1 pair correction of the pre-refinement product bound."""
-    return lambda_thm216(tup, x, y, p=p, q=q, r=r, levels=1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,58 +350,42 @@ def _product_bound(theorem: str, a_mat, b_mat, x_mat, nu, r, levels, cfg, sample
     A^(1-nu) X B^nu; its correction is half the bracket plus the swapped
     bracket (the proof-derived form, always >= 0).
     """
+    _require_finite(theorem, nu=nu, r=r)
     if r < 2.0:
         raise DomainError(f"{theorem} requires r >= 2, got r={r}")
     RefinementParams(nu, levels)
     a, b, x, ar, br, mid, xnorm_r, norm_term = _product_parts(a_mat, b_mat, x_mat, nu, r, tol, heinz)
-    dim = mid.dim
     m = a.power(nu).mat @ x @ b.power(1.0 - nu).mat
     if heinz:
         m = (m + a.power(1.0 - nu).mat @ x @ b.power(nu).mat) / 2.0
     lhs_est = numerical_radius(m, tol=tol)
-    lhs = lhs_est.value**r
-
     ia, ib, factor = ([0, 1], [1, 0], 0.5) if heinz else ([0], [1], 1.0)
-    eta = _bracket_objective([ar, br], ia, ib, nu, levels)
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta)
-    vecs = _sample_vectors(dim, samples, [ar, br, mid], [lhs_est.witness, inf_est.witness], cfg.seed)
-    eta_s = eta(vecs)
-    refinement_upper = xnorm_r * factor * float(min(eta_s.min(), inf_est.value))
 
-    lhs_pts = np.abs(quad_forms_many(m, vecs)) ** r
-    mid_s = np.maximum(quad_forms_many(mid.mat, vecs).real, 0.0)
-    rhs_pts = xnorm_r * (mid_s - factor * eta_s)
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
-    dom_viol = _count_dominance(eta_s, np.zeros_like(eta_s))
+    def rhs_points(printed, base, vecs):
+        return xnorm_r * (np.maximum(quad_forms_many(mid.mat, vecs).real, 0.0) - factor * printed[0])
 
-    extras = {}
-    if heinz:
-        printed = weighted_bracket_sum(
-            ar.quad_many(vecs), br.quad_many(vecs), nu, levels, mode="printed_heinz"
-        )
-        extras["printed_refinement_upper"] = xnorm_r * 0.5 * float(printed.min())
-    elif levels == 1:
-        r0 = min(nu, 1.0 - nu)
-        closed = r0 * (np.sqrt(ar.quad_many(vecs)) - np.sqrt(br.quad_many(vecs))) ** 2
-        extras["n1_agreement"] = float(np.max(np.abs(eta_s - closed)))
+    def extras(printed, vecs):
+        if heinz:
+            heinz_printed = weighted_bracket_sum(
+                ar.quad_many(vecs), br.quad_many(vecs), nu, levels, mode="printed_heinz"
+            )
+            return {"printed_refinement_upper": xnorm_r * 0.5 * float(heinz_printed.min())}
+        if levels == 1:
+            r0 = min(nu, 1.0 - nu)
+            closed = r0 * (np.sqrt(ar.quad_many(vecs)) - np.sqrt(br.quad_many(vecs))) ** 2
+            return {"n1_agreement": float(np.max(np.abs(printed[0] - closed)))}
+        return {}
 
-    return _report(
-        theorem,
-        dim,
-        1,
-        nu_or_alpha=nu,
-        r=r,
-        levels=levels,
-        lhs=lhs,
-        norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_baseline=norm_term,
-        pw_viol=pw_viol,
-        pw_n=len(vecs),
-        dom_viol=dom_viol,
-        lhs_witness=lhs_est.witness,
-        inf_witness=inf_est.witness,
+    return _evaluate(
+        theorem, mid.dim, 1, nu_or_alpha=nu, r=r, levels=levels,
+        lhs=lhs_est.value**r, lhs_witnesses=[lhs_est.witness], norm_term=norm_term,
+        psd_sources=[ar, br, mid],
+        objectives=[_bracket_objective([ar, br], ia, ib, nu, levels)],
+        lhs_points=lambda vecs: np.abs(quad_forms_many(m, vecs)) ** r,
+        rhs_points=rhs_points,
+        combine=lambda mins, _: (xnorm_r * factor * mins[0], norm_term),
         extras=extras,
+        cfg=cfg, samples=samples,
     )
 
 
@@ -453,7 +427,7 @@ def bound_thm25_heinz(
     return _product_bound("thm2.5", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, heinz=True)
 
 
-def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances, fg=None):
+def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances):
     """Building blocks of the sandwich bound.
 
     Returns the per-triple F_i^p and G_i^p, sum_i F_i^(rp) + G_i^(rp), the
@@ -466,14 +440,8 @@ def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances, 
     sum_rp = None
     for a_m, t_m, b_m in mats:
         at, aa = abs_pair(t_m, tol)
-        if fg is None:
-            f2 = at.power(2.0 * alpha).mat
-            g2 = aa.power(2.0 * (1.0 - alpha)).mat
-        else:
-            f_fn, g_fn = fg
-            _require_splitting_pair(f_fn, g_fn, np.concatenate([at.eigvals, aa.eigvals]))
-            f2 = at.apply(lambda s: f_fn(s) ** 2).mat
-            g2 = aa.apply(lambda s: g_fn(s) ** 2).mat
+        f2 = at.power(2.0 * alpha).mat
+        g2 = aa.power(2.0 * (1.0 - alpha)).mat
         f_i = PsdMatrix.from_matrix(hermitian_part(b_m.conj().T @ f2 @ b_m), tol)
         g_i = PsdMatrix.from_matrix(hermitian_part(a_m.conj().T @ g2 @ a_m), tol)
         fps.append(f_i.power(p))
@@ -486,32 +454,9 @@ def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances, 
     return fps, gps, sum_rp, coef, coef * sum_rp.norm() ** (1.0 / r), ops
 
 
-def bound_thm26(
-    triples,
-    *,
-    alpha: float | PowerPair = 0.5,
-    p: float,
-    r: float,
-    levels: int,
-    cfg: SphereOptConfig,
-    samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
-    theorem: str = "thm2.6",
-    fg=None,
-) -> BoundReport:
-    """Sandwich bound for tuples (A_i* T_i B_i) with the power pair t^alpha, t^(1-alpha).
-
-    The printed correction weighs every level by 1/2; the balanced Young
-    weights vanish beyond level 1, so the printed form over-subtracts for
-    two or more levels.  Reports keep the printed functional (it is the
-    stated rule); the pointwise proof chain uses the proof-valid one.
-
-    ``fg`` is the extension hook for a general function pair (two callables
-    with f(t) g(t) = t, checked on the operand spectra); it overrides
-    ``alpha`` and is excluded from the acceptance suites.
-    """
-    if isinstance(alpha, PowerPair):
-        alpha = alpha.alpha
+def _sandwich_bound(theorem: str, triples, alpha, p, r, levels, cfg, samples, tol, label):
+    """The body of the sandwich family; ``label`` is the reported nu_or_alpha."""
+    _require_finite(theorem, alpha=alpha, p=p, r=r)
     if p < 1.0:
         raise DomainError(f"{theorem} requires p >= 1, got p={p}")
     if r < 1.0:
@@ -522,56 +467,47 @@ def bound_thm26(
     n = len(triples)
     if n < 1:
         raise DomainError("at least one operator triple is required")
-    fps, gps, sum_rp, coef, norm_term, ops = _sandwich_parts(triples, alpha, p, r, tol, fg)
-    dim = sum_rp.dim
+    fps, gps, sum_rp, coef, norm_term, ops = _sandwich_parts(triples, alpha, p, r, tol)
     lhs_est = wp_radius(ops, p, cfg, tol)
-    lhs = lhs_est.value**p
-
     halves = (range(n), range(n, 2 * n))
-    eta_printed = _bracket_objective(fps + gps, *halves, 0.5, levels, mode="half")
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta_printed)
-    vecs = _sample_vectors(
-        dim, samples, fps + gps + [sum_rp], [lhs_est.witness, inf_est.witness], cfg.seed
+
+    def rhs_points(printed, proof, vecs):
+        return coef * np.maximum(quad_forms_many(sum_rp.mat, vecs).real, 0.0) ** (1.0 / r) - proof[0]
+
+    # balanced weights: the proof form IS the level-1 term, the matching
+    # pre-refinement correction
+    return _evaluate(
+        theorem, sum_rp.dim, n, nu_or_alpha=label, p=p, r=r, levels=levels,
+        lhs=lhs_est.value**p, lhs_witnesses=[lhs_est.witness], norm_term=norm_term,
+        psd_sources=fps + gps + [sum_rp],
+        objectives=[_bracket_objective(fps + gps, *halves, 0.5, levels, mode="half")],
+        baselines=[_bracket_objective(fps + gps, *halves, 0.5, levels, mode="young")],
+        lhs_points=_lp_forms(ops, p),
+        rhs_points=rhs_points,
+        cfg=cfg, samples=samples,
     )
-    printed = eta_printed(vecs)
-    proof = _bracket_objective(fps + gps, *halves, 0.5, levels, mode="young")(vecs)
-    refinement_upper = float(min(printed.min(), inf_est.value))
 
-    lhs_pts = np.zeros(len(vecs))
-    for op in ops:
-        lhs_pts += np.abs(quad_forms_many(op, vecs)) ** p
-    mid = np.maximum(quad_forms_many(sum_rp.mat, vecs).real, 0.0)
-    rhs_pts = coef * mid ** (1.0 / r) - proof
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
 
-    # the matching pre-refinement subtracted term is the level-1 truncation
-    base_zeta = proof  # balanced weights: the proof form IS the level-1 term
-    rhs_baseline = norm_term - float(base_zeta.min())
-    dom_viol = _count_dominance(printed, base_zeta)
+def bound_thm26(
+    triples,
+    *,
+    alpha: float = 0.5,
+    p: float,
+    r: float,
+    levels: int,
+    cfg: SphereOptConfig,
+    samples: int = 256,
+    tol: Tolerances = DEFAULT_TOL,
+    theorem: str = "thm2.6",
+) -> BoundReport:
+    """Sandwich bound for tuples (A_i* T_i B_i) with the power pair t^alpha, t^(1-alpha).
 
-    extras = {}
-    if levels == 1:
-        extras["n1_agreement"] = float(np.max(np.abs(printed - base_zeta)))
-
-    return _report(
-        theorem,
-        dim,
-        n,
-        nu_or_alpha=alpha,
-        p=p,
-        r=r,
-        levels=levels,
-        lhs=lhs,
-        norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_baseline=rhs_baseline,
-        pw_viol=pw_viol,
-        pw_n=len(vecs),
-        dom_viol=dom_viol,
-        lhs_witness=lhs_est.witness,
-        inf_witness=inf_est.witness,
-        extras=extras,
-    )
+    The printed correction weighs every level by 1/2; the balanced Young
+    weights vanish beyond level 1, so the printed form over-subtracts for
+    two or more levels.  Reports keep the printed functional (it is the
+    stated rule); the pointwise proof chain uses the proof-valid one.
+    """
+    return _sandwich_bound(theorem, triples, alpha, p, r, levels, cfg, samples, tol, label=alpha)
 
 
 def bound_cor27(
@@ -584,18 +520,13 @@ def bound_cor27(
     samples: int = 256,
     tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
-    """Sandwich bound specialized to products A_i* B_i."""
+    """Sandwich bound specialized to products A_i* B_i (no free weight to report)."""
     triples = []
     for a_i, b_i in pairs:
         a_m = as_complex_matrix(a_i, tol)
         eye = np.eye(a_m.shape[0], dtype=np.complex128)
         triples.append((a_i, eye, b_i))
-    rep = bound_thm26(
-        triples, alpha=0.5, p=p, r=r, levels=levels, cfg=cfg, samples=samples, tol=tol,
-        theorem="cor2.7",
-    )
-    rep.nu_or_alpha = float("nan")
-    return rep
+    return _sandwich_bound("cor2.7", triples, 0.5, p, r, levels, cfg, samples, tol, label=float("nan"))
 
 
 def bound_cor28(
@@ -674,78 +605,44 @@ def bound_thm211(
     bracket, so each reported bracket is clamped at zero.  The pointwise
     proof chain uses the p-free scalars the proof actually supports.
     """
+    _require_finite("thm2.11", alpha=alpha, p=p)
     if p < 1.0:
         raise DomainError(f"thm2.11 requires p >= 1, got p={p}")
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"thm2.11 requires 0 <= alpha <= 1, got {alpha}")
     RefinementParams(0.5, levels)
     mats, us, vs, ups, vps, sums = _per_operator_parts(tup, alpha, p, tol)
-    dim = sums[0].dim
-    n = len(mats)
     norms = [s.norm() for s in sums]
-    norm_term = 0.5 * float(np.sum(np.array(norms) ** p)) ** (1.0 / p)
 
+    def half_lp(brackets) -> float:
+        return 0.5 * float(np.sum(np.array(brackets) ** p)) ** (1.0 / p)
+
+    norm_term = half_lp(norms)
     lhs_est = wp_radius(mats, p, cfg, tol)
-    lhs = lhs_est.value
 
-    etas = [
-        _bracket_objective([up, vp], [0], [1], 0.5, levels, mode="half")
-        for up, vp in zip(ups, vps)
-    ]
-    inf_ests = [minimize_over_sphere(None, dim, cfg, objective_batch=eta) for eta in etas]
-    witnesses = [lhs_est.witness] + [e.witness for e in inf_ests]
-    vecs = _sample_vectors(dim, samples, ups + vps + sums, witnesses, cfg.seed)
+    def combine(mins, zeta_mins):
+        rhs_refined = half_lp([max(nm - 2.0 * m, 0.0) for nm, m in zip(norms, mins)])
+        return norm_term - rhs_refined, half_lp([max(nm - 2.0 * z, 0.0) for nm, z in zip(norms, zeta_mins)])
 
-    printed = [eta(vecs) for eta in etas]
-    zeta = [
-        _bracket_objective([up, vp], [0], [1], 0.5, 1, mode="half")(vecs)
-        for up, vp in zip(ups, vps)
-    ]
-    inf_vals = [min(float(printed[i].min()), inf_ests[i].value) for i in range(n)]
-    zeta_mins = [float(z.min()) for z in zeta]
+    def rhs_points(printed, zeta, vecs):
+        out = np.zeros(len(vecs))
+        for u_i, v_i in zip(us, vs):
+            u_v = u_i.quad_many(vecs)
+            v_v = v_i.quad_many(vecs)
+            proof_i = weighted_bracket_sum(u_v, v_v, 0.5, levels, mode="young")
+            out += np.maximum(u_v + v_v - 2.0 * proof_i, 0.0) ** p
+        return out / 2.0**p
 
-    brackets_refined = [max(norms[i] - 2.0 * inf_vals[i], 0.0) for i in range(n)]
-    rhs_refined = 0.5 * float(np.sum(np.array(brackets_refined) ** p)) ** (1.0 / p)
-    brackets_base = [max(norms[i] - 2.0 * zeta_mins[i], 0.0) for i in range(n)]
-    rhs_baseline = 0.5 * float(np.sum(np.array(brackets_base) ** p)) ** (1.0 / p)
-    refinement_upper = norm_term - rhs_refined
-
-    lhs_pts = np.zeros(len(vecs))
-    for t_m in mats:
-        lhs_pts += np.abs(quad_forms_many(t_m, vecs)) ** p
-    rhs_pts = np.zeros(len(vecs))
-    for i in range(n):
-        u_v = us[i].quad_many(vecs)
-        v_v = vs[i].quad_many(vecs)
-        proof_i = weighted_bracket_sum(u_v, v_v, 0.5, levels, mode="young")
-        rhs_pts += np.maximum(u_v + v_v - 2.0 * proof_i, 0.0) ** p
-    rhs_pts /= 2.0**p
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
-
-    dom_viol = sum(_count_dominance(printed[i], zeta[i]) for i in range(n))
-    extras = {}
-    if levels == 1:
-        extras["n1_agreement"] = float(
-            max(np.max(np.abs(printed[i] - zeta[i])) for i in range(n))
-        )
-
-    return _report(
-        "thm2.11",
-        dim,
-        n,
-        nu_or_alpha=alpha,
-        p=p,
-        levels=levels,
-        lhs=lhs,
-        norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_baseline=rhs_baseline,
-        pw_viol=pw_viol,
-        pw_n=len(vecs),
-        dom_viol=dom_viol,
-        lhs_witness=lhs_est.witness,
-        inf_witness=inf_ests[0].witness,
-        extras=extras,
+    return _evaluate(
+        "thm2.11", sums[0].dim, len(mats), nu_or_alpha=alpha, p=p, levels=levels,
+        lhs=lhs_est.value, lhs_witnesses=[lhs_est.witness], norm_term=norm_term,
+        psd_sources=ups + vps + sums,
+        objectives=[_bracket_objective([u, v], [0], [1], 0.5, levels, mode="half") for u, v in zip(ups, vps)],
+        baselines=[_bracket_objective([u, v], [0], [1], 0.5, 1, mode="half") for u, v in zip(ups, vps)],
+        lhs_points=_lp_forms(mats, p),
+        rhs_points=rhs_points,
+        combine=combine,
+        cfg=cfg, samples=samples,
     )
 
 
@@ -767,6 +664,34 @@ def _abs_power_parts(tup, alpha: float, p: float, tol: Tolerances):
     return mats, ps_, qs_, PsdMatrix.from_matrix(mix_sum, tol)
 
 
+def _abs_power_bound(theorem: str, tup, alpha, p, levels, cfg, samples, tol, extras=None):
+    """The body of the absolute-power family; ``extras(ps_, qs_)`` adds
+    evidence built from the |T_i|^p and |T_i*|^p."""
+    _require_finite(theorem, alpha=alpha, p=p)
+    if p < 2.0:
+        raise DomainError(f"{theorem} requires p >= 2, got p={p}")
+    RefinementParams(alpha, levels)
+    mats, ps_, qs_, mix = _abs_power_parts(tup, alpha, p, tol)
+    n = len(mats)
+    lhs_est = wp_radius(mats, p, cfg, tol)
+    halves = (range(n), range(n, 2 * n))
+
+    def rhs_points(printed, zeta, vecs):
+        return np.maximum(quad_forms_many(mix.mat, vecs).real, 0.0) - printed[0]
+
+    return _evaluate(
+        theorem, mix.dim, n, nu_or_alpha=alpha, p=p, levels=levels,
+        lhs=lhs_est.value**p, lhs_witnesses=[lhs_est.witness], norm_term=mix.norm(),
+        psd_sources=ps_ + qs_ + [mix],
+        objectives=[_bracket_objective(ps_ + qs_, *halves, alpha, levels)],
+        baselines=[_bracket_objective(ps_ + qs_, *halves, alpha, 1)],
+        lhs_points=_lp_forms(mats, p),
+        rhs_points=rhs_points,
+        extras=None if extras is None else lambda printed, vecs: extras(ps_, qs_),
+        cfg=cfg, samples=samples,
+    )
+
+
 def bound_thm213(
     tup,
     *,
@@ -779,57 +704,7 @@ def bound_thm213(
     theorem: str = "thm2.13",
 ) -> BoundReport:
     """Weighted absolute-power bound on the l^p radius (p >= 2)."""
-    if p < 2.0:
-        raise DomainError(f"{theorem} requires p >= 2, got p={p}")
-    RefinementParams(alpha, levels)
-    mats, ps_, qs_, mix = _abs_power_parts(tup, alpha, p, tol)
-    dim = mix.dim
-    n = len(mats)
-    norm_term = mix.norm()
-
-    lhs_est = wp_radius(mats, p, cfg, tol)
-    lhs = lhs_est.value**p
-
-    halves = (range(n), range(n, 2 * n))
-    eta = _bracket_objective(ps_ + qs_, *halves, alpha, levels)
-    inf_est = minimize_over_sphere(None, dim, cfg, objective_batch=eta)
-    vecs = _sample_vectors(
-        dim, samples, ps_ + qs_ + [mix], [lhs_est.witness, inf_est.witness], cfg.seed
-    )
-    eta_s = eta(vecs)
-    zeta_s = _bracket_objective(ps_ + qs_, *halves, alpha, 1)(vecs)
-    refinement_upper = float(min(eta_s.min(), inf_est.value))
-    rhs_baseline = norm_term - float(zeta_s.min())
-
-    lhs_pts = np.zeros(len(vecs))
-    for t_m in mats:
-        lhs_pts += np.abs(quad_forms_many(t_m, vecs)) ** p
-    rhs_pts = np.maximum(quad_forms_many(mix.mat, vecs).real, 0.0) - eta_s
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
-    dom_viol = _count_dominance(eta_s, zeta_s)
-
-    extras = {}
-    if levels == 1:
-        extras["n1_agreement"] = float(np.max(np.abs(eta_s - zeta_s)))
-
-    return _report(
-        theorem,
-        dim,
-        n,
-        nu_or_alpha=alpha,
-        p=p,
-        levels=levels,
-        lhs=lhs,
-        norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_baseline=rhs_baseline,
-        pw_viol=pw_viol,
-        pw_n=len(vecs),
-        dom_viol=dom_viol,
-        lhs_witness=lhs_est.witness,
-        inf_witness=inf_est.witness,
-        extras=extras,
-    )
+    return _abs_power_bound(theorem, tup, alpha, p, levels, cfg, samples, tol)
 
 
 def bound_cor215(
@@ -846,23 +721,15 @@ def bound_cor215(
     The correction adds the two per-operator squares; the minus variant
     between them (which can go negative) is kept in extras for evidence.
     """
-    if p < 2.0:
-        raise DomainError(f"cor2.15 requires p >= 2, got p={p}")
-    rep = bound_thm213(
-        [b_mat, c_mat], alpha=0.5, p=p, levels=1, cfg=cfg, samples=samples, tol=tol,
-        theorem="cor2.15",
-    )
-    bt, ba = abs_pair(as_complex_matrix(b_mat, tol), tol)
-    ct, ca = abs_pair(as_complex_matrix(c_mat, tol), tol)
-    vecs = _sample_vectors(rep.dim, samples, [], [], cfg.seed)
-    term_b = (
-        np.sqrt(bt.power(p).quad_many(vecs)) - np.sqrt(ba.power(p).quad_many(vecs))
-    ) ** 2
-    term_c = (
-        np.sqrt(ct.power(p).quad_many(vecs)) - np.sqrt(ca.power(p).quad_many(vecs))
-    ) ** 2
-    rep.extras["eta_minus_min"] = float(np.min(0.5 * (term_b - term_c)))
-    return rep
+
+    def eta_minus_min(ps_, qs_):
+        vecs = _sample_vectors(ps_[0].dim, samples, [], [], cfg.seed)
+        term_b, term_c = (
+            (np.sqrt(pp.quad_many(vecs)) - np.sqrt(qq.quad_many(vecs))) ** 2 for pp, qq in zip(ps_, qs_)
+        )
+        return {"eta_minus_min": float(np.min(0.5 * (term_b - term_c)))}
+
+    return _abs_power_bound("cor2.15", [b_mat, c_mat], 0.5, p, 1, cfg, samples, tol, eta_minus_min)
 
 
 @dataclass
@@ -896,26 +763,6 @@ def cartesian_check(
         identity_residual=resid,
         we_squared=we_est.value**2,
     )
-
-
-def _pair_samples(
-    dim: int,
-    count: int,
-    psd_sources: Sequence[PsdMatrix],
-    special_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic pair sample: special pairs, matched singles, rolled singles."""
-    singles = _sample_vectors(dim, max(count // 2, 8), psd_sources, [], seed)
-    xs = [np.asarray(x).reshape(1, dim) for x, _ in special_pairs]
-    ys = [np.asarray(y).reshape(1, dim) for _, y in special_pairs]
-    xs.append(singles)
-    ys.append(singles)
-    xs.append(singles)
-    ys.append(np.roll(singles, 1, axis=0))
-    x_all = np.concatenate(xs, axis=0)[:count]
-    y_all = np.concatenate(ys, axis=0)[:count]
-    return x_all, y_all
 
 
 def _two_exponent_parts(tup, p: float, q: float, r: float, tol: Tolerances):
@@ -954,6 +801,7 @@ def bound_thm216(
     Complex pair inner products take their modulus before powering; that is
     the only reading under which the scalar refinement applies.
     """
+    _require_finite(theorem, p=p, q=q, r=r)
     if not (p >= q >= 1.0):
         raise DomainError(f"{theorem} requires p >= q >= 1, got p={p}, q={q}")
     if abs(1.0 / p + 1.0 / q - 1.0 / r) > 1e-12:
@@ -961,65 +809,29 @@ def bound_thm216(
     nu = r / p
     RefinementParams(nu, levels)
     mats, ats, aas, p_mat, q_mat, norm_term = _two_exponent_parts(tup, p, q, r, tol)
-    dim = p_mat.dim
-    n = len(mats)
-
     west_p = wp_radius([at.mat for at in ats], p, cfg, tol)
     west_q = wp_radius([aa.mat for aa in aas], q, cfg, tol)
-    lhs = west_p.value**r * west_q.value**r
 
-    def scalars(xs: np.ndarray, ys: np.ndarray):
+    def lhs_points(xs: np.ndarray, ys: np.ndarray):
         a = np.zeros(xs.shape[0])
         b = np.zeros(xs.shape[0])
         for at, aa in zip(ats, aas):
             a += np.abs(pair_forms_many(at.mat, xs, ys)) ** p
             b += np.abs(pair_forms_many(aa.mat, xs, ys)) ** q
-        return a, b
+        return a ** (r / p) * b ** (r / q)
 
-    lam = _pair_objective(ats, aas, p, q, nu, levels)
-    pair_inf = minimize_over_sphere_pair(None, dim, cfg, objective_batch=lam)
-    special = [
-        (west_p.witness, west_q.witness),
-        (pair_inf.witness, pair_inf.witness2),
-        (west_p.witness, west_p.witness),
-        (west_q.witness, west_q.witness),
-    ]
-    xs, ys = _pair_samples(dim, samples, [p_mat, q_mat], special, cfg.seed)
-    lam_s = lam(xs, ys)
-    delta_s = _pair_objective(ats, aas, p, q, nu, 1)(xs, ys)
-    refinement_upper = float(min(lam_s.min(), pair_inf.value))
-    rhs_baseline = norm_term - float(delta_s.min())
-
-    a_s, b_s = scalars(xs, ys)
-    lhs_pts = a_s ** (r / p) * b_s ** (r / q)
-    rhs_pts = norm_term - lam_s
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
-    dom_viol = _count_dominance(lam_s, delta_s)
-
-    extras = {}
-    if levels == 1:
-        extras["n1_agreement"] = float(np.max(np.abs(lam_s - delta_s)))
-
-    return _report(
-        theorem,
-        dim,
-        n,
-        nu_or_alpha=nu,
-        p=p,
-        q=q,
-        r=r,
-        levels=levels,
-        lhs=lhs,
+    return _evaluate(
+        theorem, p_mat.dim, len(mats), nu_or_alpha=nu, p=p, q=q, r=r, levels=levels,
+        lhs=west_p.value**r * west_q.value**r,
+        lhs_witnesses=[west_p.witness, west_q.witness],
         norm_term=norm_term,
-        refinement_upper=refinement_upper,
-        rhs_baseline=rhs_baseline,
-        pw_viol=pw_viol,
-        pw_n=len(xs),
-        dom_viol=dom_viol,
-        lhs_witness=west_p.witness,
-        inf_witness=pair_inf.witness,
-        inf_witness2=pair_inf.witness2,
-        extras=extras,
+        psd_sources=[p_mat, q_mat],
+        objectives=[_pair_objective(ats, aas, p, q, nu, levels)],
+        baselines=[_pair_objective(ats, aas, p, q, nu, 1)],
+        lhs_points=lhs_points,
+        rhs_points=lambda lam, delta, xs, ys: norm_term - lam[0],
+        pair=True,
+        cfg=cfg, samples=samples,
     )
 
 
@@ -1045,33 +857,19 @@ def bound_cor219(
     samples: int = 256,
     tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
-    """Euclidean radius of a positive tuple against the square-sum norm."""
+    """Euclidean radius of a positive tuple against the square-sum norm (no correction)."""
     psd = [PsdMatrix.from_matrix(t, tol) for t in tup]
     dim = require_same_dim(*[s.mat for s in psd])
-    n = len(psd)
     sq = PsdMatrix.from_matrix(sum(s.power(2.0).mat for s in psd), tol)
-    norm_term = float(np.sqrt(sq.norm()))
     lhs_est = we_radius([s.mat for s in psd], cfg, tol)
-    lhs = lhs_est.value
-    vecs = _sample_vectors(dim, samples, psd + [sq], [lhs_est.witness], cfg.seed)
-    lhs_pts = np.zeros(len(vecs))
-    for s in psd:
-        lhs_pts += s.quad_many(vecs) ** 2
-    rhs_pts = np.maximum(quad_forms_many(sq.mat, vecs).real, 0.0)
-    pw_viol = _count_violations(lhs_pts, rhs_pts)
-    return _report(
-        "cor2.19",
-        dim,
-        n,
-        p=2.0,
-        lhs=lhs,
-        norm_term=norm_term,
-        refinement_upper=0.0,
-        rhs_baseline=norm_term,
-        pw_viol=pw_viol,
-        pw_n=len(vecs),
-        dom_viol=0,
-        lhs_witness=lhs_est.witness,
+    return _evaluate(
+        "cor2.19", dim, len(psd), p=2.0,
+        lhs=lhs_est.value, lhs_witnesses=[lhs_est.witness], norm_term=float(np.sqrt(sq.norm())),
+        psd_sources=psd + [sq],
+        objectives=[],
+        lhs_points=lambda vecs: sum(s.quad_many(vecs) ** 2 for s in psd),
+        rhs_points=lambda printed, base, vecs: np.maximum(quad_forms_many(sq.mat, vecs).real, 0.0),
+        cfg=cfg, samples=samples,
     )
 
 

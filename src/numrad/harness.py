@@ -228,14 +228,7 @@ def run_trial(theorem: str, point: dict, trial: int, pt_idx: int, cfg: SuiteConf
         cycle = _KIND_CYCLES.get(kind, (kind,))
         kinds.append(cycle[trial % len(cycle)])
     ensemble = "+".join(dict.fromkeys(kinds))
-    sphere = SphereOptConfig(
-        restarts=cfg.sphere.restarts,
-        max_iters=cfg.sphere.max_iters,
-        step_tol=cfg.sphere.step_tol,
-        seed=seed,
-        fd_step=cfg.sphere.fd_step,
-        init_step=cfg.sphere.init_step,
-    )
+    sphere = replace(cfg.sphere, seed=seed)
     t0 = time.perf_counter()
     rep = None
     status_override = None
@@ -300,6 +293,33 @@ def _lemma_record(lemma: str, trial: int, dim: int, kind: str, violations: int,
     )
 
 
+def _lemma_sweep(cfg: SuiteConfig, lemma: str, key: int, kind: str, case, slack: float) -> TrialRecord:
+    """``cfg.trials`` cases of one operator lemma, each on a fresh ``kind`` matrix of dim 2-6.
+
+    ``case(rng, t)`` draws its vectors and weights from ``rng`` and returns
+    (lhs, rhs), the asserted ``lhs <= rhs``, optionally followed by the rhs
+    of the printed form, which is tallied in extras and never asserted.
+    """
+    seed = _trial_seed(cfg, key)
+    rng = rng_from(seed, 3)
+    t0 = time.perf_counter()
+    viol = printed_viol = 0
+    worst = math.inf
+    printed: list = []
+    for k in range(cfg.trials):
+        d = int(rng.integers(2, 7))
+        lhs, rhs, *printed = case(rng, gen_matrix(EnsembleSpec(kind, d, seed=seed + 17 * k + 1)))
+        sc = max(1.0, lhs, rhs)
+        viol += int(lhs > rhs + slack * sc)
+        printed_viol += int(any(lhs > pr + slack * sc for pr in printed))
+        worst = min(worst, rhs - lhs)
+    extras = {"cases": cfg.trials}
+    if printed:
+        extras["printed_x_form_violations"] = printed_viol
+    return _lemma_record(lemma, 0, 6, kind, viol, float(worst), cfg.trials, seed,
+                         time.perf_counter() - t0, extras=extras)
+
+
 def lemma_suite(cfg: SuiteConfig) -> SuiteReport:
     """Scalar and mixed-Schwarz lemma sweeps; ``cfg.trials`` cases per lemma.
 
@@ -331,78 +351,45 @@ def lemma_suite(cfg: SuiteConfig) -> SuiteReport:
                                  time.perf_counter() - t0))
 
     # lemma2.1b: |<Tx,y>|^2 <= <|T|^{2nu} x,x> <|T*|^{2(1-nu)} y,y>
-    seed = _trial_seed(cfg, 102)
-    rng = rng_from(seed, 3)
-    t0 = time.perf_counter()
-    viol = 0
-    worst = math.inf
-    for k in range(cases):
-        d = int(rng.integers(2, 7))
-        t = gen_matrix(EnsembleSpec("ginibre", d, seed=seed + 17 * k + 1))
+    def schwarz_mixed(rng, t):
         at, aa = abs_pair(t)
-        x = random_unit_vectors(rng, d, 1)[0]
-        y = random_unit_vectors(rng, d, 1)[0]
+        x = random_unit_vectors(rng, t.shape[0], 1)[0]
+        y = random_unit_vectors(rng, t.shape[0], 1)[0]
         nu_k = float(rng.uniform(0.0, 1.0))
         lhs = abs(np.vdot(y, t @ x)) ** 2
         rhs = at.power(2 * nu_k).quad(x) * aa.power(2 * (1 - nu_k)).quad(y)
-        sc = max(1.0, lhs, rhs)
-        if lhs > rhs + slack * sc:
-            viol += 1
-        worst = min(worst, rhs - lhs)
-    records.append(_lemma_record("lemma2.1b", 0, 6, "ginibre", viol, float(worst), cases,
-                                 seed, time.perf_counter() - t0))
+        return lhs, rhs
 
     # lemma2.1c: |<Tx,y>| <= ||f(|T|)x|| ||g(|T*|)y||  (two-vector form);
-    # the printed one-vector form is tallied separately.
-    seed = _trial_seed(cfg, 103)
-    rng = rng_from(seed, 3)
-    t0 = time.perf_counter()
-    viol = 0
-    printed_viol = 0
-    worst = math.inf
-    for k in range(cases):
-        d = int(rng.integers(2, 7))
-        t = gen_matrix(EnsembleSpec("ginibre", d, seed=seed + 17 * k + 1))
+    # the printed one-vector form ||f(|T|)x|| ||g(|T*|)x|| is tallied separately.
+    def schwarz_two_functions(rng, t):
         at, aa = abs_pair(t)
-        x = random_unit_vectors(rng, d, 1)[0]
-        y = random_unit_vectors(rng, d, 1)[0]
+        x = random_unit_vectors(rng, t.shape[0], 1)[0]
+        y = random_unit_vectors(rng, t.shape[0], 1)[0]
         al = float(rng.uniform(0.0, 1.0))
         fx = np.linalg.norm(at.power(al).mat @ x)
         gy = np.linalg.norm(aa.power(1 - al).mat @ y)
         gx = np.linalg.norm(aa.power(1 - al).mat @ x)
-        lhs = abs(np.vdot(y, t @ x))
-        sc = max(1.0, lhs, fx * gy)
-        if lhs > fx * gy + slack * sc:
-            viol += 1
-        if lhs > fx * gx + slack * sc:
-            printed_viol += 1
-        worst = min(worst, fx * gy - lhs)
-    records.append(_lemma_record("lemma2.1c", 0, 6, "ginibre", viol, float(worst), cases,
-                                 seed, time.perf_counter() - t0,
-                                 extras={"cases": cases, "printed_x_form_violations": printed_viol}))
+        return abs(np.vdot(y, t @ x)), fx * gy, fx * gx
 
     # lemma2.2: quadratic-form power comparison for PSD operators
-    for lemma, lo, hi in (("lemma2.2a", 1.0, 4.0), ("lemma2.2b", 0.05, 1.0)):
-        seed = _trial_seed(cfg, 104 if lemma.endswith("a") else 105)
-        rng = rng_from(seed, 3)
-        t0 = time.perf_counter()
-        viol = 0
-        worst = math.inf
-        for k in range(cases):
-            d = int(rng.integers(2, 7))
-            t = gen_matrix(EnsembleSpec("psd", d, seed=seed + 17 * k + 1))
+    def power_comparison(lo, hi, power_side_larger):
+        def case(rng, t):
             pm = PsdMatrix.from_matrix(t)
-            x = random_unit_vectors(rng, d, 1)[0]
+            x = random_unit_vectors(rng, t.shape[0], 1)[0]
             r_k = float(rng.uniform(lo, hi))
             base = pm.quad(x) ** r_k
             powv = pm.power(r_k).quad(x)
-            lhs, rhs = (base, powv) if lemma.endswith("a") else (powv, base)
-            sc = max(1.0, lhs, rhs)
-            if lhs > rhs + slack * sc:
-                viol += 1
-            worst = min(worst, rhs - lhs)
-        records.append(_lemma_record(lemma, 0, 6, "psd", viol, float(worst), cases, seed,
-                                     time.perf_counter() - t0))
+            return (base, powv) if power_side_larger else (powv, base)
+        return case
+
+    for lemma, key, kind, case in (
+        ("lemma2.1b", 102, "ginibre", schwarz_mixed),
+        ("lemma2.1c", 103, "ginibre", schwarz_two_functions),
+        ("lemma2.2a", 104, "psd", power_comparison(1.0, 4.0, True)),
+        ("lemma2.2b", 105, "psd", power_comparison(0.05, 1.0, False)),
+    ):
+        records.append(_lemma_sweep(cfg, lemma, key, kind, case, slack))
 
     return SuiteReport(config=cfg.echo(), records=records, aggregates=aggregate(records))
 

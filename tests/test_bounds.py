@@ -23,18 +23,12 @@ from numrad.bounds import (
     bound_thm211,
     bound_thm213,
     bound_thm216,
+    _bracket_objective,
+    _pair_objective,
     cartesian_check,
-    delta_ineq17,
-    eta_thm23,
-    eta_thm26,
-    eta_thm26_proof,
-    eta_thm213,
-    lambda_thm216,
-    zeta_thm25_derived,
-    zeta_thm25_printed,
 )
 from numrad.errors import DomainError, NotPsd
-from numrad.linalg import abs_pair, op_norm
+from numrad.linalg import PsdMatrix, abs_pair, op_norm
 from numrad.radius import SphereOptConfig, numerical_radius, random_unit_vectors, rng_from
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -58,13 +52,31 @@ def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def powers(r, *mats):
+    """The PSD operands raised to the power r."""
+    return [PsdMatrix.from_matrix(m).power(r) for m in mats]
+
+
+def value_at(objective, *vectors):
+    """A form objective's value at one vector (or one pair of vectors)."""
+    return float(objective(*(np.asarray(v, dtype=complex).reshape(1, -1) for v in vectors))[0])
+
+
+def scalar_brackets(a_scalars, b_scalars, levels, mode):
+    """sum_k bracket(a_k, b_k) at 0.5, with each scalar the 1x1 form it is at x = [1]."""
+    psds = [PsdMatrix.from_matrix([[v]]) for v in list(a_scalars) + list(b_scalars)]
+    n = len(a_scalars)
+    return value_at(_bracket_objective(psds, range(n), range(n, 2 * n), 0.5, levels, mode=mode), [1.0])
+
+
 class TestEtaFunctionals:
     def test_equal_operands_vanish(self):
         rng = np.random.default_rng(1)
         a = np.diag([2.0, 5.0])
+        eta = _bracket_objective(powers(2, a, a), [0], [1], 0.3, 3)
         for _ in range(10):
             x = random_unit_vectors(rng, 2, 1)[0]
-            assert eta_thm23(a, a, x, nu=0.3, r=2, levels=3) == pytest.approx(0.0, abs=1e-12)
+            assert value_at(eta, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_level_one_closed_form(self):
         rng = np.random.default_rng(2)
@@ -75,53 +87,61 @@ class TestEtaFunctionals:
             av = float(np.vdot(x, np.diag([16.0, 1.0]) @ x).real)
             bv = float(np.vdot(x, np.diag([1.0, 81.0]) @ x).real)
             closed = min(nu, 1 - nu) * (np.sqrt(av) - np.sqrt(bv)) ** 2
-            assert eta_thm23(a, b, x, nu=nu, r=2, levels=1) == pytest.approx(closed, rel=1e-10)
+            eta = _bracket_objective(powers(2, a, b), [0], [1], nu, 1)
+            assert value_at(eta, x) == pytest.approx(closed, rel=1e-10)
 
     def test_hand_value(self):
         # scalars 16 and 1 at every unit vector: 0.5 * (4 - 1)^2 = 4.5
         x = np.array([0.6, 0.8j])
-        v = eta_thm23(np.diag([4.0, 4.0]), np.diag([1.0, 1.0]), x, nu=0.5, r=2, levels=1)
-        assert v == pytest.approx(4.5, abs=1e-12)
+        eta = _bracket_objective(powers(2, np.diag([4.0, 4.0]), np.diag([1.0, 1.0])), [0], [1], 0.5, 1)
+        assert value_at(eta, x) == pytest.approx(4.5, abs=1e-12)
 
     def test_sandwich_printed_vs_proof(self):
         # the printed half-weighted sum dominates the proof form and they
         # agree at one level
-        a = np.array([3.0, 0.4])
-        b = np.array([1.0, 2.5])
-        assert eta_thm26(a, b, 1) == pytest.approx(eta_thm26_proof(a, b, 1), abs=1e-14)
-        assert eta_thm26(a, b, 3) >= eta_thm26_proof(a, b, 3) - 1e-14
+        a = [3.0, 0.4]
+        b = [1.0, 2.5]
+        assert scalar_brackets(a, b, 1, "half") == pytest.approx(scalar_brackets(a, b, 1, "young"), abs=1e-14)
+        assert scalar_brackets(a, b, 3, "half") >= scalar_brackets(a, b, 3, "young") - 1e-14
         # proof form is level-complete at the balanced weight
-        assert eta_thm26_proof(a, b, 5) == pytest.approx(eta_thm26_proof(a, b, 1), abs=1e-14)
+        assert scalar_brackets(a, b, 5, "young") == pytest.approx(scalar_brackets(a, b, 1, "young"), abs=1e-14)
 
     def test_heinz_printed_and_derived_differ(self):
         # the printed weights carry a negative level-2 contribution at
         # nu = 0.3 (weight -1); the derived form never does
-        a = np.diag([9.0, 9.0])
-        b = np.diag([1.0, 1.0])
+        ab = powers(2, np.diag([9.0, 9.0]), np.diag([1.0, 1.0]))
         x = np.array([1.0, 0.0])
-        printed1 = zeta_thm25_printed(a, b, x, nu=0.3, r=2, levels=1)
-        printed2 = zeta_thm25_printed(a, b, x, nu=0.3, r=2, levels=2)
-        assert printed2 < printed1  # the added level SUBTRACTS
-        derived1 = zeta_thm25_derived(a, b, x, nu=0.3, r=2, levels=1)
-        derived2 = zeta_thm25_derived(a, b, x, nu=0.3, r=2, levels=2)
-        assert derived2 >= derived1 - 1e-12  # derived levels only add
-        assert derived2 >= 0.0
-        assert printed2 != pytest.approx(derived2, rel=1e-6)
+
+        def printed(levels):
+            return value_at(_bracket_objective(ab, [0], [1], 0.3, levels, mode="printed_heinz"), x)
+
+        def derived(levels):
+            # the two one-sided corrections summed
+            return value_at(_bracket_objective(ab, [0, 1], [1, 0], 0.3, levels), x)
+
+        assert printed(2) < printed(1)  # the added level SUBTRACTS
+        assert derived(2) >= derived(1) - 1e-12  # derived levels only add
+        assert derived(2) >= 0.0
+        assert printed(2) != pytest.approx(derived(2), rel=1e-6)
 
     def test_eta_thm213_endpoints_vanish(self):
         rng = np.random.default_rng(3)
         tup = [random_complex(rng, 3), random_complex(rng, 3)]
         x = random_unit_vectors(rng, 3, 1)[0]
+        ats, aas = zip(*[abs_pair(t) for t in tup])
+        psds = [at.power(2) for at in ats] + [aa.power(2) for aa in aas]
         for alpha in (0.0, 1.0):
-            assert eta_thm213(tup, x, alpha=alpha, p=2, levels=3) == 0.0
+            assert value_at(_bracket_objective(psds, [0, 1], [2, 3], alpha, 3), x) == 0.0
 
     def test_lambda_dominates_delta(self):
         rng = np.random.default_rng(4)
         tup = [random_complex(rng, 3), random_complex(rng, 3)]
         x = random_unit_vectors(rng, 3, 1)[0]
         y = random_unit_vectors(rng, 3, 1)[0]
-        lam = lambda_thm216(tup, x, y, p=3.0, q=1.5, r=1.0, levels=3)
-        dlt = delta_ineq17(tup, x, y, p=3.0, q=1.5, r=1.0)
+        ats, aas = zip(*[abs_pair(t) for t in tup])
+        # r = 1 at p = 3, q = 1.5: the bracket weight is r / p
+        lam = value_at(_pair_objective(ats, aas, 3.0, 1.5, 1.0 / 3.0, 3), x, y)
+        dlt = value_at(_pair_objective(ats, aas, 3.0, 1.5, 1.0 / 3.0, 1), x, y)
         assert lam >= dlt - 1e-12
 
 
@@ -279,33 +299,6 @@ class TestThm26Family:
     def test_p_domain(self):
         with pytest.raises(DomainError, match="p >= 1"):
             bound_thm26([(I2, I2, I2)], alpha=0.5, p=0.5, r=1, levels=1, cfg=CFG)
-
-    def test_general_pair_hook_matches_power_family(self):
-        rng = np.random.default_rng(40)
-        t = random_complex(rng, 3)
-        eye = np.eye(3, dtype=complex)
-        rep_a = bound_thm26([(eye, t, eye)], alpha=0.3, p=1, r=1, levels=2, cfg=CFG, samples=64)
-        rep_f = bound_thm26(
-            [(eye, t, eye)], p=1, r=1, levels=2, cfg=CFG, samples=64,
-            fg=(lambda s: s**0.3, lambda s: s**0.7),
-        )
-        assert rep_f.norm_term == pytest.approx(rep_a.norm_term, rel=1e-10)
-        assert rep_f.refinement_upper == pytest.approx(rep_a.refinement_upper, rel=1e-8, abs=1e-12)
-        assert rep_f.pointwise_violations == 0
-
-    def test_general_pair_hook_validates_product(self):
-        with pytest.raises(DomainError, match=r"f\(t\) g\(t\) = t"):
-            bound_thm26([(I2, 2.0 * I2, I2)], p=1, r=1, levels=1, cfg=CFG, samples=32,
-                        fg=(lambda s: s, lambda s: s))
-
-    def test_power_pair_type(self):
-        from numrad.bounds import PowerPair
-
-        rep = bound_thm26([(I2, NIL, I2)], alpha=PowerPair(0.5), p=1, r=1, levels=1,
-                          cfg=CFG, samples=32)
-        assert rep.nu_or_alpha == 0.5
-        with pytest.raises(DomainError):
-            PowerPair(1.2)
 
 
 class TestThm211:

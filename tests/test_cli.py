@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numrad.bounds import RULES
 from numrad.cli import (
     GAIN_COLUMNS,
     REPORT_COLUMNS,
@@ -459,6 +461,25 @@ class TestBoundOperandLayout:
         rc, _, err = _run(["bound", "--theorem", "thm9.9", "--input", str(operand_file),
                            "--operands", "I2"])
         assert rc == 1 and "choose from thm2.3, thm2.5" in err
+
+
+# every float parameter of every rule (levels is an integer)
+FLOAT_PARAMS = [(theorem, name) for theorem, rule in RULES.items() for name in rule.params if name != "levels"]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("theorem, name", FLOAT_PARAMS)
+    def test_exits_one_naming_the_parameter(self, operand_file, theorem, name, value):
+        rule = RULES[theorem]
+        operands = ",".join(["I2"] * len(rule.kinds) * (rule.groups or 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = _run(["bound", "--theorem", theorem, "--input", str(operand_file),
+                                 "--operands", operands, f"--{name}={value}"])
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {theorem} requires a finite {name}, got "), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestCountArguments:

@@ -102,7 +102,10 @@ def test_pair_objective_gradient(d, seed, pq, levels, n):
     lam = bounds._pair_objective(ats, aas, p, q, r / p, levels)
     x, y = random_points(rng, d, 2)
     assert_gradient_matches(lam, [x, y])
-    ref = bounds.lambda_thm216(tup, x, y, p=p, q=q, r=r, levels=levels)
+    # reference: the moduli of <|T_i| x, y> and <|T_i*| x, y>, one operator at a time
+    a = sum(abs(np.vdot(y, at.mat @ x)) ** p for at in ats)
+    b = sum(abs(np.vdot(y, aa.mat @ x)) ** q for aa in aas)
+    ref = float(weighted_bracket_sum(a, b, r / p, levels))
     assert lam(x[None], y[None])[0] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 

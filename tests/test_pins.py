@@ -1,7 +1,8 @@
-"""Pinned output of the suite, ``compare`` and ``bound``.
+"""Pinned output of the suite, the lemma sweeps, ``compare`` and ``bound``.
 
-Each pin is a sha256 of bytes a user sees: the suite's CSV, the compare
-file, and the JSON line ``bound`` prints for every rule.  Any change to the
+Each pin is a sha256 of bytes a user sees: the suite's CSV, the lemma
+sweeps' CSV, the compare file, and the JSON line ``bound`` prints for every
+rule.  Any change to the
 arithmetic behind a reported number, to a seed, to the order of records or
 to a rule's operand layout shows up here.  Like ``SEARCH_PINS`` in
 ``test_radius.py``, the digests assume IEEE doubles, numpy 2.4 and the
@@ -13,10 +14,11 @@ import hashlib
 import pytest
 
 from numrad.cli import main, report_csv, write_matrix_file
-from numrad.harness import EnsembleSpec, SuiteConfig, gen_matrix, run_suite
+from numrad.harness import EnsembleSpec, SuiteConfig, gen_matrix, lemma_suite, run_suite
 
 SUITE_PIN = "fa4391214ec02066fb6a3f2e0e5e7ec955611056671415985cd6a0e05f2bc80b"
 COMPARE_PIN = "ea55ef1ee77e08d6ee74c1fde1d98247b4a9887d8b71b1bbb1d99950c567f621"
+LEMMA_PIN = "eea9941cf0bf93aeefe23618cebc3e051bdec57b273fa943ed05e70daff889cc"
 
 # (theorem, operands) -> sha256 of the JSON line `bound` prints, at
 # --nu 0.3 --alpha 0.3 --N 2 --seed 4 (and --r 1 for thm2.16)
@@ -44,6 +46,11 @@ def _sha256(data: bytes) -> str:
 def test_suite_csv_is_pinned():
     rep = run_suite(SuiteConfig(trials=2, dims=(2, 3), samples=64))
     assert _sha256(report_csv(rep.records).encode("utf-8")) == SUITE_PIN
+
+
+def test_lemma_csv_is_pinned():
+    rep = lemma_suite(SuiteConfig(trials=50))
+    assert _sha256(report_csv(rep.records).encode("utf-8")) == LEMMA_PIN
 
 
 def test_compare_csv_is_pinned(tmp_path):
