@@ -992,6 +992,7 @@ def baseline_rhs(
     """
     if ineq_id not in BASELINE_IDS:
         raise DomainError(f"unknown baseline rule {ineq_id!r}")
+    _require_finite(f"rule {ineq_id}", **{k: float(v) for k, v in params.items()})
 
     def level1_min(firsts, seconds, nu: float) -> float:
         n = len(firsts)

@@ -34,7 +34,8 @@ class Tolerances:
     herm       relative max-norm deviation allowed between M and M*
     psd        relative allowance for negative eigenvalues before NotPsd
     eigen      relative reconstruction error allowed for eigendecompositions
-    unit       absolute slack on the norm of a unit vector
+    unit       absolute slack on the norm of a unit vector (no check reads it;
+               kept so the echoed suite config keeps its keys)
     quad_imag  imaginary part allowed when a quadratic form must be real
     dim_cap    largest matrix dimension accepted
     """
@@ -273,21 +274,3 @@ def quad_forms_many(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def pair_forms_many(a: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """<Ax_k, y_k> for batches of row vectors.  Complex output."""
     return _row_forms(a, xs, ys)
-
-
-def as_unit_vector(x, dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"vector dim {v.shape[0]}, expected {dim}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol.unit:
-        raise DomainError(f"vector norm {nrm} is not 1 within {tol.unit}")
-    return v
-
-
-def normalize(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return v / nrm

@@ -1,12 +1,13 @@
 """Radius functionals and unit-sphere optimization.
 
 The numerical radius is computed as the maximum over phases theta of the
-top eigenvalue of Re(e^{i theta} T); a uniform grid, solved coarse to fine
-where Johnson's support-line bound says a phase can matter, locates the
-global bracket and golden-section refinement polishes it.  The tuple
-functionals (the l^p combination of |<T_i x, x>| over unit x) and all
-infimum terms are estimated by projected gradient ascent/descent on the
-unit sphere in stacked real coordinates.  Objectives built from quadratic
+top eigenvalue of Re(e^{i theta} T); a uniform grid, solved from a coarse
+pass of a few dozen phases by bisecting only the gaps where Johnson's
+support-line bound says a phase can matter, locates the global bracket and
+golden-section refinement polishes it.  The tuple functionals (the l^p
+combination of |<T_i x, x>| over unit x) and all infimum terms are
+estimated by projected gradient ascent/descent on the unit sphere in
+stacked real coordinates.  Objectives built from quadratic
 forms <M_i x, x> (or <M_i x, y> for pairs) carry their exact gradient: the
 Wirtinger derivative of a form is M_i x, pushed through the objective by
 the chain rule.  Any other callable objective gets central differences,
@@ -40,8 +41,9 @@ UPPER_OF_INF = "upper-of-inf"
 # eigensolve in numerical_radius; bounds its working memory at any
 # resolution, and stays under numpy's 4 MiB huge-page threshold
 _GRID_CHUNK_BYTES = 2 << 20
-# numerical_radius first solves every _GRID_STRIDE-th phase of its grid
-_GRID_STRIDE = 8
+# numerical_radius first solves a power-of-two stride of its grid, the
+# largest giving at least _GRID_COARSE phases per turn
+_GRID_COARSE = 24
 
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:
@@ -356,14 +358,16 @@ def numerical_radius(
     phase.  Johnson's bound also holds between two solved phases a < b, at
     most pi apart: on [theta_a, theta_b], lambda <= M / cos((theta_b -
     theta_a) / 2) with M = max(lambda_a, lambda_b) >= 0, and lambda <= M
-    when M < 0.  Every 8th phase is solved first (every phase below 128);
-    then only the gaps whose bound reaches a threshold tau get their phases
-    solved, until none is left.  So every unsolved phase lies below tau, and
-    every grid peak at or above tau, with its rank, is exact.  With three
-    such peaks the top three are known.  With fewer, tau is lowered until
-    nothing left out can beat the best polished value: no unsolved gap, and
-    no lower solved peak's bracket (its bound over one step either side),
-    reaches that value less a rounding margin.  A peak left out cannot win
+    when M < 0.  A power-of-two stride is solved first, the largest that
+    leaves at least 24 phases per turn (24 to 47; every phase below 48);
+    then each gap whose bound reaches a threshold tau gets its midpoint
+    solved, until no gap with an unsolved phase reaches tau.  So every
+    unsolved phase lies below tau, and every grid peak at or above tau,
+    with its rank, is exact.  With three such peaks the top three are
+    known.  With fewer, tau is lowered until nothing left out can beat the
+    best polished value: no unsolved gap, and no lower solved peak's bracket
+    (its bound over one step either side), reaches that value less a
+    rounding margin.  A peak left out cannot win
     there, since golden search settles on a smooth local maximum of lambda
     (its kinks are never local maxima), where |<T x, x>| = lambda.  Tied
     peaks, as of a unitary T, are what lowers tau.  Phase matrices are
@@ -432,7 +436,7 @@ def numerical_radius(
             polished[k] = (abs(complex(np.vdot(x, a @ x))), x)
         return polished[k]
 
-    stride = _GRID_STRIDE if m >= 16 * _GRID_STRIDE else 1
+    stride = 1 << max(0, (m // _GRID_COARSE).bit_length() - 1)
     # a gap between solved phases spans at most one stride, under pi
     cos_half = np.cos(0.5 * step * np.arange(stride + 1))
 
@@ -443,9 +447,8 @@ def numerical_radius(
     margin = 2.0**-30 * d * scale
     solve(np.arange(0, half, stride))
     tau = lam.max()
-    fine = np.arange(1, stride)
     while True:
-        # solve every gap whose bound reaches tau: what stays unsolved is below tau
+        # bisect every gap whose bound reaches tau: what stays unsolved is below tau
         while True:
             ends = solved.nonzero()[0]
             gaps = (np.roll(ends, -1) - ends) % m
@@ -454,8 +457,7 @@ def numerical_radius(
             reach = unsolved & (bound >= tau - margin)
             if not reach.any():
                 break
-            inner = ends[reach, None] + fine
-            solve(inner[fine < gaps[reach, None]] % m)
+            solve((ends[reach] + gaps[reach] // 2) % m)
         # peaks at or above tau are exact; a lower "peak" may border an unsolved phase
         peak = solved & (lam >= np.roll(lam, 1)) & (lam >= np.roll(lam, -1))
         high = np.flatnonzero(peak & (lam >= tau))

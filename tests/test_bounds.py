@@ -1,5 +1,8 @@
 """Bound rules: functionals, reports, verdicts, baselines, proof chains."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -474,6 +477,20 @@ class TestBaselines:
         with pytest.raises(DomainError, match="p >= 2"):
             baseline_rhs("1.6", (NIL,), {"alpha": 0.5, "p": 1.0},
                          random_unit_vectors(rng_from(0, 1), 2, 8))
+
+    @pytest.mark.parametrize("ineq_id, operands, params", [
+        ("1.8", (I2, I2, I2), {"r": math.nan, "alpha": 0.5}),  # 1**nan was 1.0
+        ("1.8", (np.diag([2.0, 1.0]),) * 3, {"r": math.nan, "alpha": 0.5}),
+        ("1.6", (np.diag([2.0, 1.0]),) * 2, {"alpha": math.nan, "p": 2.0}),
+        ("1.6", (np.diag([2.0, 1.0]),) * 2, {"alpha": 0.5, "p": math.nan}),
+        ("1.4", (np.diag([2.0, 1.0]),) * 2, {"alpha": 0.5, "p": math.inf}),  # was 0.5
+    ])
+    def test_non_finite_parameter(self, ineq_id, operands, params):
+        bad = next(k for k, v in params.items() if not math.isfinite(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"rule {ineq_id} requires a finite {bad}"):
+                baseline_rhs(ineq_id, operands, params, random_unit_vectors(rng_from(0, 1), 2, 8))
 
     def test_rule_17_pairs(self):
         rng = np.random.default_rng(21)
