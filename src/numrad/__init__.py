@@ -10,9 +10,7 @@ from .errors import (
     ObjectiveError,
 )
 from .linalg import (
-    DEFAULT_TOL,
     PsdMatrix,
-    Tolerances,
     abs_adj,
     abs_op,
     abs_pair,

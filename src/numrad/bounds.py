@@ -13,12 +13,12 @@ BoundReport:
 ``RULES`` declares each rule once (function, operand layout, parameter
 grid, remark) for the suite, the CLI and ``compare``.
 
-A rule body checks its domain, builds its parts and its lhs radius, and
-describes the instance to ``_evaluate``, which runs the chain every rule
-shares: the infimum search of each correction objective, the sample set
-(the witnesses first), the objectives and their baseline counterparts on
-the samples, the pointwise proof chain, the dominance count and the
-report.  Only the rule's own callables differ: its pointwise lhs and rhs,
+A rule body builds its family's parts, which check the family's domain
+(the baselines share them), and its lhs radius, and describes the instance
+to ``_evaluate``, which runs the chain every rule shares: the infimum
+search of each correction objective, the sample set (the witnesses first),
+the objectives and their baseline counterparts on the samples, the
+pointwise proof chain, the dominance count and the report.  Only the rule's own callables differ: its pointwise lhs and rhs,
 how its minima combine, and its extras.
 
 Verdict contract: lhs_lower <= rhs_refined_est means the trial is
@@ -45,9 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import (
-    DEFAULT_TOL,
     PsdMatrix,
-    Tolerances,
     abs_pair,
     as_complex_matrix,
     hermitian_part,
@@ -325,25 +323,30 @@ def _evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _product_parts(a_mat, b_mat, x_mat, nu: float, r: float, tol: Tolerances, heinz: bool):
+def _product_parts(label: str, a_mat, b_mat, x_mat, nu: float, r: float, heinz: bool):
     """Building blocks of the weighted product bound (of its Heinz mean if ``heinz``).
 
-    Returns A, B, X, A^r, B^r, the middle matrix (nu A^r + (1-nu) B^r, or
-    (A^r + B^r) / 2 for the Heinz mean), ||X||^r and the norm term.
+    Refuses, as ``label``, r < 2 and nu outside [0, 1].  Returns A, B, X,
+    A^r, B^r, the middle matrix (nu A^r + (1-nu) B^r, or (A^r + B^r) / 2 for
+    the Heinz mean), ||X||^r and the norm term.
     """
-    a = PsdMatrix.from_matrix(a_mat, tol)
-    b = PsdMatrix.from_matrix(b_mat, tol)
-    x = as_complex_matrix(x_mat, tol)
+    if r < 2.0:
+        raise DomainError(f"{label} requires r >= 2, got r={r}")
+    if not (0.0 <= nu <= 1.0):
+        raise DomainError(f"{label} requires 0 <= nu <= 1, got {nu}")
+    a = PsdMatrix.from_matrix(a_mat)
+    b = PsdMatrix.from_matrix(b_mat)
+    x = as_complex_matrix(x_mat)
     require_same_dim(a.mat, b.mat, x)
     ar = a.power(r)
     br = b.power(r)
     mid = (ar.mat + br.mat) / 2.0 if heinz else nu * ar.mat + (1.0 - nu) * br.mat
-    mid = PsdMatrix.from_matrix(mid, tol)
-    xnorm_r = op_norm(x, tol) ** r
+    mid = PsdMatrix.from_matrix(mid)
+    xnorm_r = op_norm(x) ** r
     return a, b, x, ar, br, mid, xnorm_r, xnorm_r * mid.norm()
 
 
-def _product_bound(theorem: str, a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, *, heinz):
+def _product_bound(theorem: str, a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, *, heinz):
     """The body of thm2.3 and, with ``heinz``, of thm2.5.
 
     The Heinz mean's product operator averages A^nu X B^(1-nu) with
@@ -351,14 +354,12 @@ def _product_bound(theorem: str, a_mat, b_mat, x_mat, nu, r, levels, cfg, sample
     bracket (the proof-derived form, always >= 0).
     """
     _require_finite(theorem, nu=nu, r=r)
-    if r < 2.0:
-        raise DomainError(f"{theorem} requires r >= 2, got r={r}")
+    a, b, x, ar, br, mid, xnorm_r, norm_term = _product_parts(theorem, a_mat, b_mat, x_mat, nu, r, heinz)
     RefinementParams(nu, levels)
-    a, b, x, ar, br, mid, xnorm_r, norm_term = _product_parts(a_mat, b_mat, x_mat, nu, r, tol, heinz)
     m = a.power(nu).mat @ x @ b.power(1.0 - nu).mat
     if heinz:
         m = (m + a.power(1.0 - nu).mat @ x @ b.power(nu).mat) / 2.0
-    lhs_est = numerical_radius(m, tol=tol)
+    lhs_est = numerical_radius(m)
     ia, ib, factor = ([0, 1], [1, 0], 0.5) if heinz else ([0], [1], 1.0)
 
     def rhs_points(printed, base, vecs):
@@ -399,10 +400,9 @@ def bound_thm23(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Weighted product bound w^r(A^nu X B^(1-nu)) with refinement term."""
-    return _product_bound("thm2.3", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, heinz=False)
+    return _product_bound("thm2.3", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, heinz=False)
 
 
 def bound_thm25_heinz(
@@ -415,7 +415,6 @@ def bound_thm25_heinz(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Mixed-mean bound: the two one-sided product bounds averaged.
 
@@ -424,51 +423,52 @@ def bound_thm25_heinz(
     variant can be negative for two or more levels, so it is carried in
     ``extras['printed_refinement_upper']`` only.
     """
-    return _product_bound("thm2.5", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, tol, heinz=True)
+    return _product_bound("thm2.5", a_mat, b_mat, x_mat, nu, r, levels, cfg, samples, heinz=True)
 
 
-def _sandwich_parts(triples, alpha: float, p: float, r: float, tol: Tolerances):
+def _sandwich_parts(label: str, triples, alpha: float, p: float, r: float):
     """Building blocks of the sandwich bound.
 
-    Returns the per-triple F_i^p and G_i^p, sum_i F_i^(rp) + G_i^(rp), the
-    coefficient n^(1 - 1/r) / 2^(1/r), the norm term and the operators
-    A_i* T_i B_i.
+    Refuses, as ``label``, p < 1, r < 1, alpha outside [0, 1] and an empty
+    list of triples.  Returns the per-triple F_i^p and G_i^p, sum_i F_i^(rp)
+    + G_i^(rp), the coefficient n^(1 - 1/r) / 2^(1/r), the norm term and the
+    operators A_i* T_i B_i.
     """
-    mats = [[as_complex_matrix(m, tol) for m in triple] for triple in triples]
+    if p < 1.0:
+        raise DomainError(f"{label} requires p >= 1, got p={p}")
+    if r < 1.0:
+        raise DomainError(f"{label} requires r >= 1, got r={r}")
+    if not (0.0 <= alpha <= 1.0):
+        raise DomainError(f"{label} requires 0 <= alpha <= 1, got {alpha}")
+    if len(triples) < 1:
+        raise DomainError("at least one operator triple is required")
+    mats = [[as_complex_matrix(m) for m in triple] for triple in triples]
     require_same_dim(*(m for triple in mats for m in triple))
     fps, gps, ops = [], [], []
     sum_rp = None
     for a_m, t_m, b_m in mats:
-        at, aa = abs_pair(t_m, tol)
+        at, aa = abs_pair(t_m)
         f2 = at.power(2.0 * alpha).mat
         g2 = aa.power(2.0 * (1.0 - alpha)).mat
-        f_i = PsdMatrix.from_matrix(hermitian_part(b_m.conj().T @ f2 @ b_m), tol)
-        g_i = PsdMatrix.from_matrix(hermitian_part(a_m.conj().T @ g2 @ a_m), tol)
+        f_i = PsdMatrix.from_matrix(hermitian_part(b_m.conj().T @ f2 @ b_m))
+        g_i = PsdMatrix.from_matrix(hermitian_part(a_m.conj().T @ g2 @ a_m))
         fps.append(f_i.power(p))
         gps.append(g_i.power(p))
         term = f_i.power(r * p).mat + g_i.power(r * p).mat
         sum_rp = term if sum_rp is None else sum_rp + term
         ops.append(a_m.conj().T @ t_m @ b_m)
-    sum_rp = PsdMatrix.from_matrix(sum_rp, tol)
+    sum_rp = PsdMatrix.from_matrix(sum_rp)
     coef = len(mats) ** (1.0 - 1.0 / r) / 2.0 ** (1.0 / r)
     return fps, gps, sum_rp, coef, coef * sum_rp.norm() ** (1.0 / r), ops
 
 
-def _sandwich_bound(theorem: str, triples, alpha, p, r, levels, cfg, samples, tol, label):
+def _sandwich_bound(theorem: str, triples, alpha, p, r, levels, cfg, samples, label):
     """The body of the sandwich family; ``label`` is the reported nu_or_alpha."""
     _require_finite(theorem, alpha=alpha, p=p, r=r)
-    if p < 1.0:
-        raise DomainError(f"{theorem} requires p >= 1, got p={p}")
-    if r < 1.0:
-        raise DomainError(f"{theorem} requires r >= 1, got r={r}")
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"{theorem} requires 0 <= alpha <= 1, got {alpha}")
+    fps, gps, sum_rp, coef, norm_term, ops = _sandwich_parts(theorem, triples, alpha, p, r)
     RefinementParams(0.5, levels)
     n = len(triples)
-    if n < 1:
-        raise DomainError("at least one operator triple is required")
-    fps, gps, sum_rp, coef, norm_term, ops = _sandwich_parts(triples, alpha, p, r, tol)
-    lhs_est = wp_radius(ops, p, cfg, tol)
+    lhs_est = wp_radius(ops, p, cfg)
     halves = (range(n), range(n, 2 * n))
 
     def rhs_points(printed, proof, vecs):
@@ -497,7 +497,6 @@ def bound_thm26(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
     theorem: str = "thm2.6",
 ) -> BoundReport:
     """Sandwich bound for tuples (A_i* T_i B_i) with the power pair t^alpha, t^(1-alpha).
@@ -507,7 +506,7 @@ def bound_thm26(
     two or more levels.  Reports keep the printed functional (it is the
     stated rule); the pointwise proof chain uses the proof-valid one.
     """
-    return _sandwich_bound(theorem, triples, alpha, p, r, levels, cfg, samples, tol, label=alpha)
+    return _sandwich_bound(theorem, triples, alpha, p, r, levels, cfg, samples, label=alpha)
 
 
 def bound_cor27(
@@ -518,15 +517,14 @@ def bound_cor27(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Sandwich bound specialized to products A_i* B_i (no free weight to report)."""
     triples = []
     for a_i, b_i in pairs:
-        a_m = as_complex_matrix(a_i, tol)
+        a_m = as_complex_matrix(a_i)
         eye = np.eye(a_m.shape[0], dtype=np.complex128)
         triples.append((a_i, eye, b_i))
-    return _sandwich_bound("cor2.7", triples, 0.5, p, r, levels, cfg, samples, tol, label=float("nan"))
+    return _sandwich_bound("cor2.7", triples, 0.5, p, r, levels, cfg, samples, label=float("nan"))
 
 
 def bound_cor28(
@@ -538,18 +536,17 @@ def bound_cor28(
     levels: int = 1,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
     theorem: str = "cor2.8",
 ) -> BoundReport:
     """Sandwich bound with trivial outer factors: tuples (T_1, ..., T_n)."""
     triples = []
     for t_i in tup:
-        t_m = as_complex_matrix(t_i, tol)
+        t_m = as_complex_matrix(t_i)
         eye = np.eye(t_m.shape[0], dtype=np.complex128)
         triples.append((eye, t_m, eye))
     return bound_thm26(
         triples, alpha=alpha, p=p, r=r, levels=levels, cfg=cfg, samples=samples,
-        tol=tol, theorem=theorem,
+        theorem=theorem,
     )
 
 
@@ -561,30 +558,34 @@ def bound_cor210(
     p: float,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Two-operator, single-level specialization of the sandwich bound."""
     return bound_cor28(
         [b_mat, c_mat], alpha=alpha, p=p, r=1.0, levels=1, cfg=cfg, samples=samples,
-        tol=tol, theorem="cor2.10",
+        theorem="cor2.10",
     )
 
 
-def _per_operator_parts(tup, alpha: float, p: float, tol: Tolerances):
+def _per_operator_parts(label: str, tup, alpha: float, p: float):
     """Building blocks of the per-operator bound: the operators T_i,
-    U_i = |T_i|^(2 alpha), V_i = |T_i*|^(2 (1-alpha)), U_i^p, V_i^p and U_i + V_i."""
-    mats = [as_complex_matrix(t, tol) for t in tup]
+    U_i = |T_i|^(2 alpha), V_i = |T_i*|^(2 (1-alpha)), U_i^p, V_i^p and U_i + V_i.
+    Refuses, as ``label``, p < 1 and alpha outside [0, 1]."""
+    if p < 1.0:
+        raise DomainError(f"{label} requires p >= 1, got p={p}")
+    if not (0.0 <= alpha <= 1.0):
+        raise DomainError(f"{label} requires 0 <= alpha <= 1, got {alpha}")
+    mats = [as_complex_matrix(t) for t in tup]
     require_same_dim(*mats)
     us, vs, ups, vps, sums = [], [], [], [], []
     for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
+        at, aa = abs_pair(t_m)
         u_i = at.power(2.0 * alpha)
         v_i = aa.power(2.0 * (1.0 - alpha))
         us.append(u_i)
         vs.append(v_i)
         ups.append(at.power(2.0 * alpha * p))
         vps.append(aa.power(2.0 * (1.0 - alpha) * p))
-        sums.append(PsdMatrix.from_matrix(u_i.mat + v_i.mat, tol))
+        sums.append(PsdMatrix.from_matrix(u_i.mat + v_i.mat))
     return mats, us, vs, ups, vps, sums
 
 
@@ -596,7 +597,6 @@ def bound_thm211(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Per-operator bound on the l^p radius with one correction per operator.
 
@@ -606,19 +606,15 @@ def bound_thm211(
     proof chain uses the p-free scalars the proof actually supports.
     """
     _require_finite("thm2.11", alpha=alpha, p=p)
-    if p < 1.0:
-        raise DomainError(f"thm2.11 requires p >= 1, got p={p}")
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"thm2.11 requires 0 <= alpha <= 1, got {alpha}")
+    mats, us, vs, ups, vps, sums = _per_operator_parts("thm2.11", tup, alpha, p)
     RefinementParams(0.5, levels)
-    mats, us, vs, ups, vps, sums = _per_operator_parts(tup, alpha, p, tol)
     norms = [s.norm() for s in sums]
 
     def half_lp(brackets) -> float:
         return 0.5 * float(np.sum(np.array(brackets) ** p)) ** (1.0 / p)
 
     norm_term = half_lp(norms)
-    lhs_est = wp_radius(mats, p, cfg, tol)
+    lhs_est = wp_radius(mats, p, cfg)
 
     def combine(mins, zeta_mins):
         rhs_refined = half_lp([max(nm - 2.0 * m, 0.0) for nm, m in zip(norms, mins)])
@@ -646,34 +642,37 @@ def bound_thm211(
     )
 
 
-def _abs_power_parts(tup, alpha: float, p: float, tol: Tolerances):
+def _abs_power_parts(label: str, tup, alpha: float, p: float):
     """Building blocks of the absolute-power bound: the operators T_i,
-    |T_i|^p, |T_i*|^p and sum_i alpha |T_i|^p + (1-alpha) |T_i*|^p."""
-    mats = [as_complex_matrix(t, tol) for t in tup]
+    |T_i|^p, |T_i*|^p and sum_i alpha |T_i|^p + (1-alpha) |T_i*|^p.
+    Refuses, as ``label``, p < 2 and alpha outside [0, 1]."""
+    if p < 2.0:
+        raise DomainError(f"{label} requires p >= 2, got p={p}")
+    if not (0.0 <= alpha <= 1.0):
+        raise DomainError(f"{label} requires 0 <= alpha <= 1, got {alpha}")
+    mats = [as_complex_matrix(t) for t in tup]
     require_same_dim(*mats)
     ps_, qs_ = [], []
     mix_sum = None
     for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
+        at, aa = abs_pair(t_m)
         p_i = at.power(p)
         q_i = aa.power(p)
         ps_.append(p_i)
         qs_.append(q_i)
         term = alpha * p_i.mat + (1.0 - alpha) * q_i.mat
         mix_sum = term if mix_sum is None else mix_sum + term
-    return mats, ps_, qs_, PsdMatrix.from_matrix(mix_sum, tol)
+    return mats, ps_, qs_, PsdMatrix.from_matrix(mix_sum)
 
 
-def _abs_power_bound(theorem: str, tup, alpha, p, levels, cfg, samples, tol, extras=None):
+def _abs_power_bound(theorem: str, tup, alpha, p, levels, cfg, samples, extras=None):
     """The body of the absolute-power family; ``extras(ps_, qs_)`` adds
     evidence built from the |T_i|^p and |T_i*|^p."""
     _require_finite(theorem, alpha=alpha, p=p)
-    if p < 2.0:
-        raise DomainError(f"{theorem} requires p >= 2, got p={p}")
+    mats, ps_, qs_, mix = _abs_power_parts(theorem, tup, alpha, p)
     RefinementParams(alpha, levels)
-    mats, ps_, qs_, mix = _abs_power_parts(tup, alpha, p, tol)
     n = len(mats)
-    lhs_est = wp_radius(mats, p, cfg, tol)
+    lhs_est = wp_radius(mats, p, cfg)
     halves = (range(n), range(n, 2 * n))
 
     def rhs_points(printed, zeta, vecs):
@@ -700,11 +699,10 @@ def bound_thm213(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
     theorem: str = "thm2.13",
 ) -> BoundReport:
     """Weighted absolute-power bound on the l^p radius (p >= 2)."""
-    return _abs_power_bound(theorem, tup, alpha, p, levels, cfg, samples, tol)
+    return _abs_power_bound(theorem, tup, alpha, p, levels, cfg, samples)
 
 
 def bound_cor215(
@@ -714,7 +712,6 @@ def bound_cor215(
     p: float,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Two-operator balanced absolute-power bound.
 
@@ -729,7 +726,7 @@ def bound_cor215(
         )
         return {"eta_minus_min": float(np.min(0.5 * (term_b - term_c)))}
 
-    return _abs_power_bound("cor2.15", [b_mat, c_mat], 0.5, p, 1, cfg, samples, tol, eta_minus_min)
+    return _abs_power_bound("cor2.15", [b_mat, c_mat], 0.5, p, 1, cfg, samples, eta_minus_min)
 
 
 @dataclass
@@ -740,23 +737,21 @@ class CartesianCheck:
     we_squared: float
 
 
-def cartesian_check(
-    a_mat, cfg: SphereOptConfig, tol: Tolerances = DEFAULT_TOL
-) -> CartesianCheck:
+def cartesian_check(a_mat, cfg: SphereOptConfig) -> CartesianCheck:
     """Split A into Hermitian parts and check the two-operator identity.
 
     Returns w(A)^2, half the norm of A*A + AA*, the residual of
     A*A + AA* = 2(B^2 + C^2), and the Euclidean-radius square of (B, C)
     which must agree with w(A)^2.
     """
-    a = as_complex_matrix(a_mat, tol)
+    a = as_complex_matrix(a_mat)
     b = hermitian_part(a)
     c = skew_part(a)
     gram = a.conj().T @ a + a @ a.conj().T
     resid = float(np.max(np.abs(gram - 2.0 * (b @ b + c @ c))))
-    w_est = numerical_radius(a, tol=tol)
-    we_est = we_radius([b, c], cfg, tol)
-    half_norm = 0.5 * PsdMatrix.from_matrix(hermitian_part(gram), tol).norm()
+    w_est = numerical_radius(a)
+    we_est = we_radius([b, c], cfg)
+    half_norm = 0.5 * PsdMatrix.from_matrix(hermitian_part(gram)).norm()
     return CartesianCheck(
         w_squared=w_est.value**2,
         half_norm=half_norm,
@@ -765,22 +760,27 @@ def cartesian_check(
     )
 
 
-def _two_exponent_parts(tup, p: float, q: float, r: float, tol: Tolerances):
+def _two_exponent_parts(label: str, tup, p: float, q: float, r: float):
     """Building blocks of the two-exponent product bound: the operators T_i,
-    |T_i|, |T_i*|, sum_i |T_i|^p, sum_i |T_i*|^q and the norm term."""
-    mats = [as_complex_matrix(t, tol) for t in tup]
+    |T_i|, |T_i*|, sum_i |T_i|^p, sum_i |T_i*|^q and the norm term.
+    Refuses, as ``label``, all but p >= q >= 1 with 1/p + 1/q = 1/r."""
+    if not (p >= q >= 1.0):
+        raise DomainError(f"{label} requires p >= q >= 1, got p={p}, q={q}")
+    if abs(1.0 / p + 1.0 / q - 1.0 / r) > 1e-12:
+        raise DomainError(f"{label} requires 1/p + 1/q = 1/r, got p={p}, q={q}, r={r}")
+    mats = [as_complex_matrix(t) for t in tup]
     require_same_dim(*mats)
     ats, aas = [], []
     p_sum = None
     q_sum = None
     for t_m in mats:
-        at, aa = abs_pair(t_m, tol)
+        at, aa = abs_pair(t_m)
         ats.append(at)
         aas.append(aa)
         p_sum = at.power(p).mat if p_sum is None else p_sum + at.power(p).mat
         q_sum = aa.power(q).mat if q_sum is None else q_sum + aa.power(q).mat
-    p_mat = PsdMatrix.from_matrix(p_sum, tol)
-    q_mat = PsdMatrix.from_matrix(q_sum, tol)
+    p_mat = PsdMatrix.from_matrix(p_sum)
+    q_mat = PsdMatrix.from_matrix(q_sum)
     return mats, ats, aas, p_mat, q_mat, (r / p) * p_mat.norm() + (r / q) * q_mat.norm()
 
 
@@ -793,7 +793,6 @@ def bound_thm216(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
     theorem: str = "thm2.16",
 ) -> BoundReport:
     """Two-exponent product bound on absolute-value tuples.
@@ -802,15 +801,11 @@ def bound_thm216(
     the only reading under which the scalar refinement applies.
     """
     _require_finite(theorem, p=p, q=q, r=r)
-    if not (p >= q >= 1.0):
-        raise DomainError(f"{theorem} requires p >= q >= 1, got p={p}, q={q}")
-    if abs(1.0 / p + 1.0 / q - 1.0 / r) > 1e-12:
-        raise DomainError(f"{theorem} requires 1/p + 1/q = 1/r, got p={p}, q={q}, r={r}")
+    mats, ats, aas, p_mat, q_mat, norm_term = _two_exponent_parts(theorem, tup, p, q, r)
     nu = r / p
     RefinementParams(nu, levels)
-    mats, ats, aas, p_mat, q_mat, norm_term = _two_exponent_parts(tup, p, q, r, tol)
-    west_p = wp_radius([at.mat for at in ats], p, cfg, tol)
-    west_q = wp_radius([aa.mat for aa in aas], q, cfg, tol)
+    west_p = wp_radius([at.mat for at in ats], p, cfg)
+    west_q = wp_radius([aa.mat for aa in aas], q, cfg)
 
     def lhs_points(xs: np.ndarray, ys: np.ndarray):
         a = np.zeros(xs.shape[0])
@@ -841,11 +836,10 @@ def bound_cor218(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Euclidean-radius product bound: both exponents 2, combination weight 1."""
     return bound_thm216(
-        tup, p=2.0, q=2.0, r=1.0, levels=levels, cfg=cfg, samples=samples, tol=tol,
+        tup, p=2.0, q=2.0, r=1.0, levels=levels, cfg=cfg, samples=samples,
         theorem="cor2.18",
     )
 
@@ -855,13 +849,12 @@ def bound_cor219(
     *,
     cfg: SphereOptConfig,
     samples: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BoundReport:
     """Euclidean radius of a positive tuple against the square-sum norm (no correction)."""
-    psd = [PsdMatrix.from_matrix(t, tol) for t in tup]
+    psd = [PsdMatrix.from_matrix(t) for t in tup]
     dim = require_same_dim(*[s.mat for s in psd])
-    sq = PsdMatrix.from_matrix(sum(s.power(2.0).mat for s in psd), tol)
-    lhs_est = we_radius([s.mat for s in psd], cfg, tol)
+    sq = PsdMatrix.from_matrix(sum(s.power(2.0).mat for s in psd))
+    lhs_est = we_radius([s.mat for s in psd], cfg)
     return _evaluate(
         "cor2.19", dim, len(psd), p=2.0,
         lhs=lhs_est.value, lhs_witnesses=[lhs_est.witness], norm_term=float(np.sqrt(sq.norm())),
@@ -973,13 +966,7 @@ RULES = {
 BASELINE_IDS = ("1.3", "1.4", "1.5", "1.6", "1.7", "1.8", "1.9", "2.8")
 
 
-def baseline_rhs(
-    ineq_id: str,
-    operands,
-    params: dict,
-    vectors=None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def baseline_rhs(ineq_id: str, operands, params: dict, vectors=None) -> float:
     """Right-hand side of a pre-refinement rule, with its own subtracted
     term estimated on the supplied sample vectors (pairs for rule 1.7).
 
@@ -988,11 +975,13 @@ def baseline_rhs(
     1.8 and 1.9 the weighted product and Heinz bounds (no correction), 1.3
     the sandwich bound, 1.4 and 1.5 the per-operator bound (its p-free and
     its p-inflated blocks), 1.6 and 2.8 the absolute-power bound (2.8 at
-    alpha = 1/2, no correction), 1.7 the two-exponent bound.
+    alpha = 1/2, no correction), 1.7 the two-exponent bound.  The parts
+    refuse what the family's rules refuse, naming the rule as "rule <id>".
     """
     if ineq_id not in BASELINE_IDS:
         raise DomainError(f"unknown baseline rule {ineq_id!r}")
-    _require_finite(f"rule {ineq_id}", **{k: float(v) for k, v in params.items()})
+    label = f"rule {ineq_id}"
+    _require_finite(label, **{k: float(v) for k, v in params.items()})
 
     def level1_min(firsts, seconds, nu: float) -> float:
         n = len(firsts)
@@ -1001,49 +990,41 @@ def baseline_rhs(
 
     if ineq_id in ("1.8", "1.9"):
         r = float(params["r"])
-        if r < 2.0:
-            raise DomainError(f"rule {ineq_id} requires r >= 2, got {r}")
         heinz = ineq_id == "1.9"
         nu = 0.5 if heinz else float(params["alpha"])
         a, b, x = operands[0], operands[1], operands[2]
-        return _product_parts(a, b, x, nu, r, tol, heinz)[-1]
+        return _product_parts(label, a, b, x, nu, r, heinz)[-1]
 
     if ineq_id == "2.8":
         p = float(params["p"])
-        if p < 2.0:
-            raise DomainError(f"rule 2.8 requires p >= 2, got {p}")
-        return _abs_power_parts(operands[:2], 0.5, p, tol)[-1].norm()
+        return _abs_power_parts(label, operands[:2], 0.5, p)[-1].norm()
 
     if ineq_id == "1.3":
         alpha, p, r = float(params["alpha"]), float(params["p"]), float(params["r"])
-        fps, gps, _, _, norm_term, _ = _sandwich_parts(operands, alpha, p, r, tol)
+        fps, gps, _, _, norm_term, _ = _sandwich_parts(label, operands, alpha, p, r)
         return norm_term - level1_min(fps, gps, 0.5)
 
     if ineq_id in ("1.4", "1.5"):
         alpha, p = float(params["alpha"]), float(params["p"])
-        _, us, vs, ups, vps, sums = _per_operator_parts(operands, alpha, p, tol)
+        _, us, vs, ups, vps, sums = _per_operator_parts(label, operands, alpha, p)
         if ineq_id == "1.4":
             total = sum(
                 max(s.norm() - 2.0 * level1_min([u], [v], 0.5), 0.0) ** p
                 for u, v, s in zip(us, vs, sums)
             )
             return 0.5 * total ** (1.0 / p)
-        acc = PsdMatrix.from_matrix(sum(up.mat + vp.mat for up, vp in zip(ups, vps)), tol)
+        acc = PsdMatrix.from_matrix(sum(up.mat + vp.mat for up, vp in zip(ups, vps)))
         return 0.5 * acc.norm() - level1_min(ups, vps, 0.5)
 
     if ineq_id == "1.6":
         alpha, p = float(params["alpha"]), float(params["p"])
-        if p < 2.0:
-            raise DomainError(f"rule 1.6 requires p >= 2, got {p}")
-        _, ps_, qs_, mix = _abs_power_parts(operands, alpha, p, tol)
+        _, ps_, qs_, mix = _abs_power_parts(label, operands, alpha, p)
         return mix.norm() - level1_min(ps_, qs_, alpha)
 
     # rule 1.7: vectors is a pair (xs, ys)
     p = float(params["p"])
     q = float(params["q"])
     r = float(params["r"])
-    if not (p >= q >= 1.0) or abs(1.0 / p + 1.0 / q - 1.0 / r) > 1e-12:
-        raise DomainError("rule 1.7 requires p >= q >= 1 with 1/p + 1/q = 1/r")
-    _, ats, aas, _, _, norm_term = _two_exponent_parts(operands, p, q, r, tol)
+    _, ats, aas, _, _, norm_term = _two_exponent_parts(label, operands, p, q, r)
     # with p >= q, r/p <= 1/2 is the level-1 weight min(r/p, 1 - r/p)
     return norm_term - float(_pair_objective(ats, aas, p, q, r / p, 1)(*vectors).min())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumradError, DomainError
 from . import bounds as bnd
-from .linalg import DEFAULT_TOL, PsdMatrix, Tolerances, abs_pair, hermitian_part, op_norm
+from .linalg import DIM_CAP, PsdMatrix, abs_pair, hermitian_part, op_norm
 from .radius import SphereOptConfig, random_unit_vectors, rng_from
 
 ENSEMBLE_KINDS = (
@@ -50,12 +50,12 @@ class EnsembleSpec:
     seed: int = 0
 
 
-def gen_matrix(spec: EnsembleSpec, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gen_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Deterministic random matrix of the requested kind."""
     if spec.kind not in ENSEMBLE_KINDS:
         raise DomainError(f"unknown ensemble kind {spec.kind!r}")
-    if not (1 <= spec.dim <= tol.dim_cap):
-        raise DomainError(f"dim must lie in 1..{tol.dim_cap}, got {spec.dim}")
+    if not (1 <= spec.dim <= DIM_CAP):
+        raise DomainError(f"dim must lie in 1..{DIM_CAP}, got {spec.dim}")
     if spec.scale <= 0:
         raise DomainError(f"scale must be positive, got {spec.scale}")
     rng = rng_from(spec.seed, 11)
@@ -94,7 +94,7 @@ def gen_matrix(spec: EnsembleSpec, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         return np.diag(lam)
     # contraction
     g = ginibre()
-    nrm = op_norm(g, tol)
+    nrm = op_norm(g)
     return g / nrm if nrm > 1.0 else g
 
 
@@ -118,7 +118,6 @@ class SuiteConfig:
     sphere: SphereOptConfig = field(
         default_factory=lambda: SphereOptConfig(restarts=4, max_iters=40, step_tol=1e-9)
     )
-    tol: Tolerances = DEFAULT_TOL
 
     def echo(self) -> dict:
         return asdict(self)
@@ -235,7 +234,7 @@ def run_trial(theorem: str, point: dict, trial: int, pt_idx: int, cfg: SuiteConf
     try:
         ops = [_draw(kind, dim, seed, rule.bump + i) for i, kind in enumerate(kinds)]
         rep = getattr(bnd, rule.fn)(
-            *rule.arrange(ops), cfg=sphere, samples=cfg.samples, tol=cfg.tol, **point
+            *rule.arrange(ops), cfg=sphere, samples=cfg.samples, **point
         )
     except NumradError as exc:
         status_override = f"error-{type(exc).__name__}"

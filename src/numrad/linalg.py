@@ -13,7 +13,6 @@ product ``ys.conj() @ a`` (a BLAS GEMM) followed by a row-wise dot with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,40 +25,24 @@ from .errors import (
     NotPsd,
 )
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances, threaded explicitly through the kernel.
-
-    herm       relative max-norm deviation allowed between M and M*
-    psd        relative allowance for negative eigenvalues before NotPsd
-    eigen      relative reconstruction error allowed for eigendecompositions
-    unit       absolute slack on the norm of a unit vector (no check reads it;
-               kept so the echoed suite config keeps its keys)
-    quad_imag  imaginary part allowed when a quadratic form must be real
-    dim_cap    largest matrix dimension accepted
-    """
-
-    herm: float = 1e-10
-    psd: float = 1e-9
-    eigen: float = 1e-9
-    unit: float = 1e-12
-    quad_imag: float = 1e-12
-    dim_cap: int = 64
+# The numerical checks every verdict rests on.  The tolerances are relative:
+# to max(1, max|m_ij|) for HERM_TOL and EIGEN_TOL, to max(1, top eigenvalue)
+# for PSD_TOL.
+HERM_TOL = 1e-10  # max|M - M*| allowed in the Hermitian test
+PSD_TOL = 1e-9  # most negative eigenvalue treated as roundoff before NotPsd
+EIGEN_TOL = 1e-9  # max|V diag(w) V* - H| allowed for an eigendecomposition
+DIM_CAP = 64  # largest matrix dimension accepted
 
 
-DEFAULT_TOL = Tolerances()
-
-
-def as_complex_matrix(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def as_complex_matrix(m) -> np.ndarray:
     """Validate and return a square, finite complex128 matrix."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DomainError("empty matrix")
-    if a.shape[0] > tol.dim_cap:
-        raise DomainError(f"dimension {a.shape[0]} exceeds cap {tol.dim_cap}")
+    if a.shape[0] > DIM_CAP:
+        raise DomainError(f"dimension {a.shape[0]} exceeds cap {DIM_CAP}")
     if not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     return a
@@ -76,8 +59,8 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return max_abs(m - m.conj().T) <= tol.herm * max(1.0, max_abs(m))
+def is_hermitian(m: np.ndarray) -> bool:
+    return max_abs(m - m.conj().T) <= HERM_TOL * max(1.0, max_abs(m))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -90,18 +73,16 @@ def skew_part(m: np.ndarray) -> np.ndarray:
     return (m - m.conj().T) / 2.0j
 
 
-def hermitian_eigen(
-    h, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, orthonormal eigenvector columns) with
     H = V diag(w) V*.  Raises DomainError if the input is not Hermitian
-    within tolerance and EigenFailure if the solver fails or the
-    reconstruction error exceeds ``tol.eigen``.
+    within ``HERM_TOL`` and EigenFailure if the solver fails or the
+    reconstruction error exceeds ``EIGEN_TOL``.
     """
-    a = as_complex_matrix(h, tol)
-    if not is_hermitian(a, tol):
+    a = as_complex_matrix(h)
+    if not is_hermitian(a):
         raise DomainError("matrix is not Hermitian within tolerance")
     a = hermitian_part(a)
     try:
@@ -109,7 +90,7 @@ def hermitian_eigen(
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     resid = max_abs((v * w) @ v.conj().T - a)
-    if resid > tol.eigen * max(1.0, max_abs(a)):
+    if resid > EIGEN_TOL * max(1.0, max_abs(a)):
         raise EigenFailure(f"eigen reconstruction error {resid:.3e}")
     return w, v
 
@@ -118,7 +99,7 @@ class PsdMatrix:
     """A positive semidefinite matrix with its eigensystem cached.
 
     Eigenvalues are ascending and clamped at zero (values in
-    [-psd_tol*scale, 0) are treated as roundoff); anything more negative
+    [-PSD_TOL*scale, 0) are treated as roundoff); anything more negative
     raises NotPsd.  The cache makes fractional powers and general spectral
     functions cheap.
     """
@@ -135,12 +116,12 @@ class PsdMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def from_matrix(cls, m, tol: Tolerances = DEFAULT_TOL) -> "PsdMatrix":
-        a = as_complex_matrix(m, tol)
-        if not is_hermitian(a, tol):
+    def from_matrix(cls, m) -> "PsdMatrix":
+        a = as_complex_matrix(m)
+        if not is_hermitian(a):
             raise NotPsd("matrix is not Hermitian, hence not PSD")
-        w, v = hermitian_eigen(a, tol)
-        floor = -tol.psd * max(1.0, float(w[-1]))
+        w, v = hermitian_eigen(a)
+        floor = -PSD_TOL * max(1.0, float(w[-1]))
         if w[0] < floor:
             raise NotPsd(f"eigenvalue {w[0]:.3e} below PSD tolerance {floor:.3e}")
         w = np.maximum(w, 0.0)
@@ -185,11 +166,9 @@ class PsdMatrix:
         return np.maximum(_row_forms(self.mat, xs, xs).real, 0.0)
 
 
-def abs_pair(
-    t, tol: Tolerances = DEFAULT_TOL
-) -> tuple[PsdMatrix, PsdMatrix]:
+def abs_pair(t) -> tuple[PsdMatrix, PsdMatrix]:
     """(|T|, |T*|) from a single SVD: |T| = V S V*, |T*| = U S U*."""
-    a = as_complex_matrix(t, tol)
+    a = as_complex_matrix(t)
     try:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
@@ -202,31 +181,31 @@ def abs_pair(
     return PsdMatrix.from_eigensystem(s, v), PsdMatrix.from_eigensystem(s, uu)
 
 
-def abs_op(t, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+def abs_op(t) -> PsdMatrix:
     """Operator absolute value |T| = (T*T)^(1/2)."""
-    return abs_pair(t, tol)[0]
+    return abs_pair(t)[0]
 
 
-def abs_adj(t, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+def abs_adj(t) -> PsdMatrix:
     """|T*| = (TT*)^(1/2)."""
-    return abs_pair(t, tol)[1]
+    return abs_pair(t)[1]
 
 
-def psd_power(a, s: float, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+def psd_power(a, s: float) -> PsdMatrix:
     """Spectral power of a PSD matrix (accepts PsdMatrix or an array)."""
-    p = a if isinstance(a, PsdMatrix) else PsdMatrix.from_matrix(a, tol)
+    p = a if isinstance(a, PsdMatrix) else PsdMatrix.from_matrix(a)
     return p.power(s)
 
 
-def spectral_apply(a, phi, tol: Tolerances = DEFAULT_TOL) -> PsdMatrix:
+def spectral_apply(a, phi) -> PsdMatrix:
     """Apply a nonnegative scalar function to a PSD matrix spectrally."""
-    p = a if isinstance(a, PsdMatrix) else PsdMatrix.from_matrix(a, tol)
+    p = a if isinstance(a, PsdMatrix) else PsdMatrix.from_matrix(a)
     return p.apply(phi)
 
 
-def op_norm(t, tol: Tolerances = DEFAULT_TOL) -> float:
+def op_norm(t) -> float:
     """Operator norm, the largest singular value."""
-    a = as_complex_matrix(t, tol)
+    a = as_complex_matrix(t)
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -234,31 +213,13 @@ def op_norm(t, tol: Tolerances = DEFAULT_TOL) -> float:
     return float(s[0])
 
 
-def quad_form(a: np.ndarray, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> complex:
+def quad_form(a: np.ndarray, x: np.ndarray) -> complex:
     """<Ax, x> with the inner product linear in its first argument."""
     a = np.asarray(a, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     if a.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"matrix dim {a.shape[1]} vs vector dim {x.shape[0]}")
     return complex(np.vdot(x, a @ x))
-
-
-def quad_form_real(a: np.ndarray, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Real value of a Hermitian quadratic form.
-
-    Raises DomainError when |Im<Ax, x>| exceeds
-    ``tol.quad_imag * max(1, max|a_ij|) * ||x||^2``, i.e. when the form is
-    not real to rounding; a smaller imaginary part is dropped.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    val = quad_form(a, x, tol)
-    limit = tol.quad_imag * max(1.0, max_abs(a)) * float(np.vdot(x, x).real)
-    if abs(val.imag) > limit:
-        raise DomainError(
-            f"quadratic form has imaginary part {val.imag:.3e} above {limit:.3e}"
-        )
-    return val.real
 
 
 def _row_forms(a: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

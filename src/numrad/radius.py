@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, max_abs, quad_forms_many
+from .linalg import as_complex_matrix, max_abs, quad_forms_many
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -334,9 +334,7 @@ def _hermitian_eig(solver: Callable, h: np.ndarray):
         raise EigenFailure(str(exc)) from exc
 
 
-def numerical_radius(
-    t, resolution: int = 720, tol: Tolerances = DEFAULT_TOL
-) -> RadiusEstimate:
+def numerical_radius(t, resolution: int = 720) -> RadiusEstimate:
     """Numerical radius estimate via phase maximization.
 
     w(T) = max over theta of lambda(theta), the top eigenvalue of H(theta) =
@@ -376,7 +374,7 @@ def numerical_radius(
     H(theta + pi) = -H(theta), so lambda there is minus the bottom
     eigenvalue at theta.
     """
-    a = as_complex_matrix(t, tol)
+    a = as_complex_matrix(t)
     d = a.shape[0]
     try:
         m = operator.index(resolution)
@@ -491,10 +489,10 @@ class OperatorTuple:
     ops: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, mats: Sequence, tol: Tolerances = DEFAULT_TOL) -> "OperatorTuple":
+    def of(cls, mats: Sequence) -> "OperatorTuple":
         if len(mats) < 1:
             raise DomainError("an operator tuple needs at least one operator")
-        ops = tuple(as_complex_matrix(m, tol) for m in mats)
+        ops = tuple(as_complex_matrix(m) for m in mats)
         dims = {m.shape[0] for m in ops}
         if len(dims) != 1:
             raise DimensionMismatch(f"tuple has mixed dimensions {sorted(dims)}")
@@ -516,20 +514,18 @@ def tuple_lp_values(ops: Sequence[np.ndarray], p: float, xs: np.ndarray) -> np.n
     return acc ** (1.0 / p)
 
 
-def wp_radius(
-    tup, p: float, cfg: SphereOptConfig, tol: Tolerances = DEFAULT_TOL
-) -> RadiusEstimate:
+def wp_radius(tup, p: float, cfg: SphereOptConfig) -> RadiusEstimate:
     """Sphere-optimized estimate of the l^p radius of an operator tuple."""
     if p < 1.0:
         raise DomainError(f"wp radius requires p >= 1, got {p}")
-    ot = tup if isinstance(tup, OperatorTuple) else OperatorTuple.of(tup, tol)
+    ot = tup if isinstance(tup, OperatorTuple) else OperatorTuple.of(tup)
     lp = _FormObjective(np.stack(ot.ops), "complex", _lp_of_forms(p))
     return _extremize_on_spheres(lp, ot.dim, cfg, minimize=False)
 
 
-def we_radius(tup, cfg: SphereOptConfig, tol: Tolerances = DEFAULT_TOL) -> RadiusEstimate:
+def we_radius(tup, cfg: SphereOptConfig) -> RadiusEstimate:
     """Euclidean radius: the p = 2 case."""
-    return wp_radius(tup, 2.0, cfg, tol)
+    return wp_radius(tup, 2.0, cfg)
 
 
 def minimize_over_sphere(

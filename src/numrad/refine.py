@@ -106,8 +106,8 @@ def printed_heinz_weight(li: LevelIndices) -> float:
 def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], ...]:
     """Weight and bracket exponents (w, e_b1, e_a1, e_a2, e_b2) of each level with w != 0.
 
-    The "young" weight vanishes where e_b2 < 0 (see ``_level``), so only the
-    "half" and "printed_heinz" modes keep such a level.
+    The "young" and "printed_heinz" weights vanish where e_b2 < 0 (see
+    ``_level``), so only the "half" mode keeps such a level.
     """
     terms = []
     for j in range(1, levels + 1):
@@ -136,7 +136,10 @@ def weighted_bracket_sum(
       "half"          1/2 at every level (printed form of the sandwich bound)
       "printed_heinz" the nu-free printed Heinz weights (may be negative)
 
-    Inputs are clamped at zero; the 0^0 = 1 convention applies.
+    Inputs are clamped at zero; the 0^0 = 1 convention applies.  A kept
+    level whose b exponent is negative (the "half" mode at nu = 1 and
+    within the snap tolerance below it) is undefined at b = 0, so a zero b
+    there raises DomainError.
 
     ``grad``, a pair (da, db) of float arrays of the output's shape, is
     filled in place with the derivatives of each output entry by its a and
@@ -152,6 +155,10 @@ def weighted_bracket_sum(
         da[...] = 0.0
         db[...] = 0.0
     for w, e_b1, e_a1, e_a2, e_b2 in _level_terms(float(nu), int(levels), mode):
+        if e_b2 < 0.0 and not b.all():
+            raise DomainError(
+                f"{mode} weights at nu={nu} keep level exponent {e_b2} < 0, undefined at b = 0"
+            )
         first = b**e_b1 * a**e_a1
         second = a**e_a2 * b**e_b2
         t = first - second

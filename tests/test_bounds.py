@@ -1,6 +1,7 @@
 """Bound rules: functionals, reports, verdicts, baselines, proof chains."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -491,6 +492,33 @@ class TestBaselines:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"rule {ineq_id} requires a finite {bad}"):
                 baseline_rhs(ineq_id, operands, params, random_unit_vectors(rng_from(0, 1), 2, 8))
+
+    D21 = np.diag([2.0, 1.0])
+
+    # each baseline refuses what its family's rules refuse, with the same check
+    @pytest.mark.parametrize("ineq_id, operands, params, message", [
+        ("1.3", [(I2, NIL, I2)], {"alpha": 0.5, "p": 0.5, "r": 1.0}, "p >= 1, got p=0.5"),  # was 0.49997
+        ("1.3", [(I2, NIL, I2)], {"alpha": 0.5, "p": 1.0, "r": 0.5}, "r >= 1, got r=0.5"),  # was 0.24997
+        ("1.3", [(I2, NIL, I2)], {"alpha": 1.5, "p": 1.0, "r": 1.0}, "0 <= alpha <= 1"),
+        ("1.4", (D21, NIL), {"alpha": 0.5, "p": 0.5}, "p >= 1, got p=0.5"),  # was 4.49991
+        ("1.5", (D21, NIL), {"alpha": -0.5, "p": 1.0}, "0 <= alpha <= 1"),
+        ("1.6", (NIL, NIL), {"alpha": 1.5, "p": 2.0}, "0 <= alpha <= 1"),  # was NotPsd
+        ("1.8", (D21, I2, NIL), {"alpha": 1.5, "r": 2.0}, "0 <= nu <= 1"),  # was 5.5
+        ("1.8", (D21, I2, NIL), {"alpha": 0.5, "r": 1.5}, "r >= 2, got r=1.5"),
+        ("2.8", (NIL, NIL), {"p": 1.0}, "p >= 2, got p=1.0"),
+        ("1.7", [NIL], {"p": 1.5, "q": 3.0, "r": 1.0}, "p >= q >= 1"),
+        ("1.7", [NIL], {"p": 2.0, "q": 2.0, "r": 1.5}, "1/p + 1/q = 1/r"),
+    ])
+    def test_refuses_what_its_rule_refuses(self, ineq_id, operands, params, message):
+        vecs = random_unit_vectors(rng_from(0, 1), 2, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^rule {ineq_id} requires {re.escape(message)}"):
+                baseline_rhs(ineq_id, operands, params, (vecs, vecs) if ineq_id == "1.7" else vecs)
+
+    def test_rule_13_needs_a_triple(self):
+        with pytest.raises(DomainError, match="at least one operator triple"):
+            baseline_rhs("1.3", [], {"alpha": 0.5, "p": 1.0, "r": 1.0})
 
     def test_rule_17_pairs(self):
         rng = np.random.default_rng(21)

@@ -482,6 +482,38 @@ class TestNonFiniteParameters:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.fixture(scope="module")
+def cap_file(tmp_path_factory):
+    """Identities at the dimension cap (64) and one past it."""
+    path = tmp_path_factory.mktemp("cap") / "m.json"
+    write_matrix_file(path, [("E64", np.eye(64)), ("E65", np.eye(65))])
+    return path
+
+
+class TestDimensionCap:
+    def test_radius_accepts_the_cap(self, cap_file):
+        rc, out, err = _run(["radius", "--input", str(cap_file), "--names", "E64"])
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == "1.0 (lower-of-sup)"
+
+    @pytest.mark.parametrize("names", ["E65", "E65,E65"])
+    def test_radius_refuses_past_the_cap(self, cap_file, names):
+        rc, out, err = _run(["radius", "--input", str(cap_file), "--names", names])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: dimension 65 exceeds cap 64"), err
+
+    # every rule's layout, and cor2.15's one-operand Cartesian check
+    @pytest.mark.parametrize("theorem, count", [
+        *((t, len(r.kinds) * (r.groups or 1)) for t, r in RULES.items()), ("cor2.15", 1),
+    ])
+    def test_bound_refuses_past_the_cap(self, cap_file, theorem, count):
+        extra = ["--r", "1"] if theorem == "thm2.16" else []
+        rc, out, err = _run(["bound", "--theorem", theorem, "--input", str(cap_file),
+                             "--operands", ",".join(["E65"] * count), *extra])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: dimension 65 exceeds cap 64"), err
+
+
 class TestCountArguments:
     @pytest.mark.parametrize("suite", ["all", "bounds", "lemmas"])
     @pytest.mark.parametrize("trials", ["0", "-1"])

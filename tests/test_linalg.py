@@ -12,9 +12,8 @@ from numrad.errors import (
     NotPsd,
 )
 from numrad.linalg import (
-    DEFAULT_TOL,
+    DIM_CAP,
     PsdMatrix,
-    Tolerances,
     abs_adj,
     abs_op,
     as_complex_matrix,
@@ -23,7 +22,6 @@ from numrad.linalg import (
     pair_forms_many,
     psd_power,
     quad_form,
-    quad_form_real,
     quad_forms_many,
     spectral_apply,
 )
@@ -239,20 +237,7 @@ class TestQuadForm:
             x = g[:, 0] / np.linalg.norm(g[:, 0])
             assert abs(quad_form(h, x).imag) <= 1e-12 * max(1.0, abs(quad_form(h, x)))
             p = g.conj().T @ g
-            assert quad_form_real(p, x) >= -1e-10 * max(1.0, np.abs(p).max())
-
-    def test_real_passes_for_hermitian(self):
-        rng = np.random.default_rng(11)
-        g = random_complex(rng, 5)
-        h = (g + g.conj().T) / 2
-        x = 3.0 * g[:, 1]
-        assert quad_form_real(h, x) == pytest.approx(np.vdot(x, h @ x).real, rel=1e-12)
-
-    def test_real_rejects_imaginary_form(self):
-        x = np.array([1.0, 1.0j]) / np.sqrt(2)
-        assert quad_form(NIL, x) == pytest.approx(0.5j, abs=1e-15)
-        with pytest.raises(DomainError, match="imaginary part"):
-            quad_form_real(NIL, x)
+            assert quad_form(p, x).real >= -1e-10 * max(1.0, np.abs(p).max())
 
 
 def _layout(arr, how):
@@ -334,9 +319,10 @@ class TestValidation:
             as_complex_matrix(np.array([[np.nan + 0j, 0], [0, 0]]))
 
     def test_dim_cap(self):
-        with pytest.raises(DomainError):
-            as_complex_matrix(np.eye(DEFAULT_TOL.dim_cap + 1))
-        small_cap = Tolerances(dim_cap=4)
-        with pytest.raises(DomainError):
-            as_complex_matrix(np.eye(5), small_cap)
-        as_complex_matrix(np.eye(4), small_cap)
+        assert DIM_CAP == 64
+        assert as_complex_matrix(np.eye(64)).shape == (64, 64)
+        assert PsdMatrix.from_matrix(np.eye(64)).dim == 64
+        with pytest.raises(DomainError, match="dimension 65 exceeds cap 64"):
+            as_complex_matrix(np.eye(65))
+        with pytest.raises(DomainError, match="dimension 65 exceeds cap 64"):
+            PsdMatrix.from_matrix(np.eye(65))

@@ -266,6 +266,20 @@ def test_weighted_bracket_sum_zero_inputs():
     assert vals[0] == 0.0
 
 
+@pytest.mark.parametrize("nu", [1.0, 1.0 - 1e-13])
+def test_negative_exponent_at_zero_b_is_a_domain_error(nu):
+    # the half weights keep the levels whose b exponent is negative at and
+    # just below nu = 1; a zero b there gave inf and NaN with RuntimeWarnings
+    with pytest.raises(DomainError, match="undefined at b = 0"):
+        weighted_bracket_sum([0.0, 1.0], [0.0, 0.0], nu, 2, mode="half")
+    vals = weighted_bracket_sum([0.0, 1.0], [1.0, 2.0], nu, 2, mode="half")
+    assert np.isfinite(vals).all()
+    # the young and printed Heinz weights drop those levels
+    for mode in ("young", "printed_heinz"):
+        vals = weighted_bracket_sum([0.0, 1.0], [0.0, 0.0], nu, 2, mode=mode)
+        assert vals.tolist() == [0.0, 0.0]
+
+
 def _bracket_sum_reference(a, b, nu, levels, mode):
     """The per-call level loop that the cached terms replace."""
     a = np.maximum(np.asarray(a, dtype=np.float64), 0.0)
@@ -298,9 +312,17 @@ class TestCachedLevelTerms:
     def test_bits_match_the_level_loop(self, nu, mode):
         with np.errstate(divide="ignore", invalid="ignore"):
             for levels in range(1, MAX_LEVELS + 1):
-                got = weighted_bracket_sum(self.A, self.B, nu, levels, mode)
                 ref = _bracket_sum_reference(self.A, self.B, nu, levels, mode)
-                assert got.tobytes() == ref.tobytes()
+                if np.isfinite(ref).all():
+                    got = weighted_bracket_sum(self.A, self.B, nu, levels, mode)
+                    assert got.tobytes() == ref.tobytes()
+                else:
+                    # a kept level's negative b exponent meets B's zero entry
+                    with pytest.raises(DomainError, match="undefined at b = 0"):
+                        weighted_bracket_sum(self.A, self.B, nu, levels, mode)
+                    keep = self.B > 0.0
+                    got = weighted_bracket_sum(self.A[keep], self.B[keep], nu, levels, mode)
+                    assert got.tobytes() == ref[keep].tobytes()
                 scalar = weighted_bracket_sum(0.4, 1.7, nu, levels, mode)
                 assert float(scalar) == float(_bracket_sum_reference(0.4, 1.7, nu, levels, mode))
 
