@@ -84,6 +84,11 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     a = as_complex_matrix(h)
     if not is_hermitian(a):
         raise DomainError("matrix is not Hermitian within tolerance")
+    return _eigen_of_hermitian(a)
+
+
+def _eigen_of_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eigen's work on a matrix already checked square, finite and Hermitian."""
     a = hermitian_part(a)
     try:
         w, v = np.linalg.eigh(a)
@@ -120,7 +125,7 @@ class PsdMatrix:
         a = as_complex_matrix(m)
         if not is_hermitian(a):
             raise NotPsd("matrix is not Hermitian, hence not PSD")
-        w, v = hermitian_eigen(a)
+        w, v = _eigen_of_hermitian(a)
         floor = -PSD_TOL * max(1.0, float(w[-1]))
         if w[0] < floor:
             raise NotPsd(f"eigenvalue {w[0]:.3e} below PSD tolerance {floor:.3e}")

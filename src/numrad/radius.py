@@ -4,16 +4,16 @@ The numerical radius is computed as the maximum over phases theta of the
 top eigenvalue of Re(e^{i theta} T); a uniform grid, solved from a coarse
 pass of a few dozen phases by bisecting only the gaps where Johnson's
 support-line bound says a phase can matter, locates the global bracket and
-golden-section refinement polishes it.  The tuple functionals (the l^p
-combination of |<T_i x, x>| over unit x) and all infimum terms are
-estimated by projected gradient ascent/descent on the unit sphere in
-stacked real coordinates.  Objectives built from quadratic
-forms <M_i x, x> (or <M_i x, y> for pairs) carry their exact gradient: the
-Wirtinger derivative of a form is M_i x, pushed through the objective by
-the chain rule.  Any other callable objective gets central differences,
-taken only at the rows the search accepts.  Each evaluated row is
-normalized once, in place, and an accepted step keeps the normalized trial
-row it was judged on, with its gradient.
+Newton's method on lambda'(theta) = 0, safeguarded by bisection, polishes
+it.  The tuple functionals (the l^p combination of |<T_i x, x>| over unit
+x) and all infimum terms are estimated by projected gradient
+ascent/descent on the unit sphere in stacked real coordinates.  Objectives
+built from quadratic forms <M_i x, x> (or <M_i x, y> for pairs) carry
+their exact gradient: the Wirtinger derivative of a form is M_i x, pushed
+through the objective by the chain rule.  Any other callable objective
+gets central differences, taken only at the rows the search accepts.
+Each evaluated row is normalized once, in place, and an accepted step
+keeps the normalized trial row it was judged on, with its gradient.
 
 Estimate semantics are first-class: every supremum estimate is a lower
 bound of the true value and every infimum estimate is an upper bound.
@@ -32,8 +32,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
 from .linalg import as_complex_matrix, max_abs, quad_forms_many
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 LOWER_OF_SUP = "lower-of-sup"
 UPPER_OF_INF = "upper-of-inf"
 
@@ -44,6 +42,13 @@ _GRID_CHUNK_BYTES = 2 << 20
 # numerical_radius first solves a power-of-two stride of its grid, the
 # largest giving at least _GRID_COARSE phases per turn
 _GRID_COARSE = 24
+# the polish stops once a Newton step, or its bracket, is this short in theta
+_POLISH_TOL = 1e-12
+# eigensolves a polish may take before it reports converged=False;
+# bisection alone needs 41 on the widest bracket (pi/2, at 8 phases)
+_POLISH_ITERS = 64
+# eigenvalue gaps below this, relative to max|T_ij|, make lambda'' untrusted
+_GAP_TOL = 2.0**-26
 
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:
@@ -308,24 +313,6 @@ def _extremize_on_spheres(
     )
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Abscissa of the maximum of a unimodal-on-bracket function."""
-    a, b = lo, hi
-    m1 = b - GOLDEN * (b - a)
-    m2 = a + GOLDEN * (b - a)
-    f1, f2 = f(m1), f(m2)
-    while (b - a) > tol:
-        if f1 > f2:
-            b, m2, f2 = m2, m1, f1
-            m1 = b - GOLDEN * (b - a)
-            f1 = f(m1)
-        else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + GOLDEN * (b - a)
-            f2 = f(m2)
-    return 0.5 * (a + b)
-
-
 def _hermitian_eig(solver: Callable, h: np.ndarray):
     """Run a numpy Hermitian eigensolver, reporting its failure as EigenFailure."""
     try:
@@ -334,16 +321,68 @@ def _hermitian_eig(solver: Callable, h: np.ndarray):
         raise EigenFailure(str(exc)) from exc
 
 
+def _polish(a: np.ndarray, g1: np.ndarray, g2: np.ndarray, theta: float, step: float):
+    """Safeguarded Newton's method for lambda'(theta) = 0 on [theta - step, theta + step].
+
+    ``g1`` and ``g2`` are (T+T*)/2 and i(T-T*)/2 divided by max|T_ij|, so
+    lambda and its derivatives are formed in units where no entry exceeds
+    1.  One eigh of H = cos(theta) g1 + sin(theta) g2 per step gives the top
+    eigenpair (lambda, x) and the rest (mu_k, v_k); with H' = -sin(theta) g1
+    + cos(theta) g2 and H'' = -H, lambda' = x* H' x (Hellmann-Feynman) and
+    lambda'' = -lambda + 2 sum_k |v_k* H' x|^2 / (lambda - mu_k) (Lancaster,
+    Numer. Math. 6, 1964).  The sign of lambda' moves one end of the bracket
+    to theta.  The step bisects the bracket where lambda'' >= 0, where a gap
+    lambda - mu_k is below _GAP_TOL, where Newton's step would leave the
+    bracket, or where it is not under half the step before last; so a kink
+    of lambda, which is never a local maximum, is never the answer.  Returns
+    |<T x, x>| at the last step's x, x, and whether a step or the bracket
+    fell below _POLISH_TOL within _POLISH_ITERS eigensolves.
+    """
+    lo, hi = theta - step, theta + step
+    last = before = hi - lo  # lengths of the last two steps
+    converged = False
+    for _ in range(_POLISH_ITERS):
+        c, s = math.cos(theta), math.sin(theta)
+        w, v = _hermitian_eig(np.linalg.eigh, c * g1 + s * g2)
+        x = v[:, -1]
+        coupling = v.conj().T @ ((c * g2 - s * g1) @ x)
+        slope = float(coupling[-1].real)
+        if slope > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        gaps = w[-1] - w[:-1]
+        nxt = None
+        if gaps.min() > _GAP_TOL:
+            curv = 2.0 * float(np.sum(np.abs(coupling[:-1]) ** 2 / gaps)) - float(w[-1])
+            if curv < 0.0 and abs(slope) < -curv * 0.5 * before:
+                nxt = theta - slope / curv
+                if abs(nxt - theta) <= _POLISH_TOL:
+                    converged = True
+                    break
+        if nxt is None or not lo < nxt < hi:
+            if hi - lo <= _POLISH_TOL:
+                converged = True
+                break
+            nxt = 0.5 * (lo + hi)
+        last, before = abs(nxt - theta), last
+        theta = nxt
+    return abs(complex(np.vdot(x, a @ x))), x, converged
+
+
 def numerical_radius(t, resolution: int = 720) -> RadiusEstimate:
     """Numerical radius estimate via phase maximization.
 
     w(T) = max over theta of lambda(theta), the top eigenvalue of H(theta) =
     cos(theta) (T+T*)/2 + sin(theta) i(T-T*)/2.  On a uniform grid of
-    ``resolution`` phases (an integer >= 8; default 720), golden-section
-    search inside the brackets of the grid's three highest local maxima
-    polishes the maximum.  The value reported is |<T x, x>| at the top
+    ``resolution`` phases (an integer >= 8; default 720), Newton's method on
+    lambda' = 0, safeguarded by bisection, inside the brackets of the grid's
+    three highest local maxima polishes the maximum (see ``_polish``; a few
+    eigensolves per peak).  The value reported is |<T x, x>| at the top
     eigenvector of the best polished phase, a certified lower bound of w(T)
-    reproducible from the witness; ``upper`` is the support-line bound
+    reproducible from the witness; ``converged`` is False when a polish
+    stopped at its iteration cap with neither its step nor its bracket
+    below 1e-12 in theta; ``upper`` is the support-line bound
     max_k lambda(theta_k) / cos(pi/m) of the grid (Johnson, SIAM J. Numer.
     Anal. 15, 1978), or ``value`` where that is larger, so ``value <= upper``
     holds exactly.  The bound can be exact (Hermitian T, negative dominant
@@ -366,8 +405,11 @@ def numerical_radius(t, resolution: int = 720) -> RadiusEstimate:
     best polished value: no unsolved gap, and no lower solved peak's bracket
     (its bound over one step either side), reaches that value less a
     rounding margin.  A peak left out cannot win
-    there, since golden search settles on a smooth local maximum of lambda
-    (its kinks are never local maxima), where |<T x, x>| = lambda.  Tied
+    there, since its polish would settle where lambda' = 0, a smooth local
+    maximum of lambda (its kinks are never local maxima, and bisection on
+    the sign of lambda' steps past them), where |<T x, x>| = lambda.  That
+    needs the polish to converge: away from lambda' = 0, |<T x, x>| =
+    sqrt(lambda^2 + lambda'^2) exceeds lambda, which ``converged`` flags.  Tied
     peaks, as of a unitary T, are what lowers tau.  Phase matrices are
     decomposed in chunks of about 2 MiB, so memory stays flat in the
     resolution, and for an even resolution only over the first half-turn:
@@ -418,20 +460,12 @@ def numerical_radius(t, resolution: int = 720) -> RadiusEstimate:
                 lam[k + half] = -ev[:, 0]
                 solved[k + half] = True
 
-    def lam_max(theta: float) -> float:
-        h = math.cos(theta) * h1 + math.sin(theta) * h2
-        return float(_hermitian_eig(np.linalg.eigvalsh, h)[-1])
+    g1, g2 = h1 / scale, h2 / scale
+    polished: dict[int, tuple[float, np.ndarray, bool]] = {}
 
-    polished: dict[int, tuple[float, np.ndarray]] = {}
-
-    def polish(k: int) -> tuple[float, np.ndarray]:
+    def polish(k: int) -> tuple[float, np.ndarray, bool]:
         if k not in polished:
-            theta0 = float(thetas[k])
-            theta_star = _golden_max(lam_max, theta0 - step, theta0 + step)
-            h = math.cos(theta_star) * h1 + math.sin(theta_star) * h2
-            _, v = _hermitian_eig(np.linalg.eigh, h)
-            x = v[:, -1]
-            polished[k] = (abs(complex(np.vdot(x, a @ x))), x)
+            polished[k] = _polish(a, g1, g2, float(thetas[k]), step)
         return polished[k]
 
     stride = 1 << max(0, (m // _GRID_COARSE).bit_length() - 1)
@@ -474,12 +508,13 @@ def numerical_radius(t, resolution: int = 720) -> RadiusEstimate:
     best_val = -math.inf
     best_vec = e1
     for k in top:
-        val, x = polish(k)
+        val, x, _ = polish(k)
         if val > best_val:
             best_val = val
             best_vec = x
     upper = max(float(lam.max()) / math.cos(math.pi / m), best_val)
-    return RadiusEstimate(best_val, best_vec, upper=upper)
+    converged = all(done for _, _, done in polished.values())
+    return RadiusEstimate(best_val, best_vec, converged=converged, upper=upper)
 
 
 @dataclass(frozen=True)

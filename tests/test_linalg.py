@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from numrad import linalg
 from numrad.errors import (
     DimensionMismatch,
     DomainError,
@@ -142,6 +143,28 @@ class TestPsdPower:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotPsd):
             PsdMatrix.from_matrix(NIL)
+
+    def test_nearly_hermitian_is_not_psd(self, monkeypatch):
+        # the Hermitian test runs once, in from_matrix, and its failure is NotPsd
+        calls = []
+        real = linalg.is_hermitian
+        monkeypatch.setattr(linalg, "is_hermitian", lambda m: calls.append(1) or real(m))
+        m = np.array([[2.0, 1e-8], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NotPsd, match="not Hermitian"):
+            PsdMatrix.from_matrix(m)
+        assert len(calls) == 1
+        PsdMatrix.from_matrix(np.eye(3))
+        assert len(calls) == 2
+
+    def test_eigensystem_matches_hermitian_eigen(self):
+        rng = np.random.default_rng(8)
+        for d in (2, 4, 16, 64):
+            g = random_complex(rng, d)
+            m = g.conj().T @ g
+            w, v = hermitian_eigen(m)
+            p = PsdMatrix.from_matrix(m)
+            assert p.eigvals.tobytes() == np.maximum(w, 0.0).tobytes()
+            assert p.eigvecs.tobytes() == v.tobytes()
 
     def test_roundoff_negative_clamped(self):
         m = np.diag([1.0, -1e-12])

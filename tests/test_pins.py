@@ -16,15 +16,15 @@ import pytest
 from numrad.cli import main, report_csv, write_matrix_file
 from numrad.harness import EnsembleSpec, SuiteConfig, gen_matrix, lemma_suite, run_suite
 
-SUITE_PIN = "fa4391214ec02066fb6a3f2e0e5e7ec955611056671415985cd6a0e05f2bc80b"
-COMPARE_PIN = "ea55ef1ee77e08d6ee74c1fde1d98247b4a9887d8b71b1bbb1d99950c567f621"
+SUITE_PIN = "4065c79e7693bfa8c5a6b13129ec02ec64abb138c318d8892045ca05da3614cd"
+COMPARE_PIN = "ed7c1c55e630ca0d5cf4d4674e93a60e444655b02a7936a6d252a35de9c8bf08"
 LEMMA_PIN = "eea9941cf0bf93aeefe23618cebc3e051bdec57b273fa943ed05e70daff889cc"
 
 # (theorem, operands) -> sha256 of the JSON line `bound` prints, at
 # --nu 0.3 --alpha 0.3 --N 2 --seed 4 (and --r 1 for thm2.16)
 BOUND_PINS = {
-    ("thm2.3", "P1,P2,G1"): "fafd5fbf0595b20942067d069ab367e1d6214412377e2bb5724068b41d6d3c6a",
-    ("thm2.5", "P1,P2,G1"): "883f670837077df0ee7d73326641e501b79fef164c6c59df3c61716d73f3b6e1",
+    ("thm2.3", "P1,P2,G1"): "7ee56f030c7d0d0219d82eb2283912d4b20e14dc8306286fa20fee4edbbdcd6f",
+    ("thm2.5", "P1,P2,G1"): "26f40c4e31c06f86c28ec708dc69b86136637acb2fcb9ac9586e9f14f093480f",
     ("thm2.6", "G1,G2,G3"): "42167bc221f2d2872f13ce320aeb2f1ba74a297421e6a3856e522c0adc5ab491",
     ("cor2.7", "G1,G2"): "c5529606f3bc35fbd2b7506eb0d7a6963bd53e1bba5653bacaff504a1b70e37f",
     ("cor2.8", "G1,G2"): "07cbf3ebb71bd9dadae103ab9e6789da64940fdc6b052c27995066b8aaa1bcf0",
@@ -35,7 +35,7 @@ BOUND_PINS = {
     ("thm2.16", "G1,G2"): "2b8d5b3c15f0b335fb9390e6e889691fe6b83c0cb5f32dee5d6e83dd42855f69",
     ("cor2.18", "G1,G2"): "62ce02b4dd18de5024a58817424d9222e8ee4fe9dd65ddd4525b549b1963f299",
     ("cor2.19", "P1,P2"): "f5e4d01ee32bfc17a979ebe5e57ebf638a491000fd9129759f0d6f0d30b38fe9",
-    ("cor2.15", "G1"): "f8f3bac932a0be9a670e4ae3c133437fa65713aa9b89ca7e79c6cdaa2761b88b",
+    ("cor2.15", "G1"): "9a24202364b5c49c688dbc9ab32466c7764ed4390f012e7b013bb7acc29b15e3",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from numrad import radius
 from numrad.errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
 from numrad.harness import GENERAL_KINDS, EnsembleSpec, SuiteConfig, gen_matrix
-from numrad.linalg import abs_adj, abs_op, op_norm, pair_forms_many
+from numrad.linalg import abs_adj, abs_op, max_abs, op_norm, pair_forms_many
 from numrad.radius import (
     LOWER_OF_SUP,
     UPPER_OF_INF,
@@ -54,11 +54,50 @@ def grid_top_eigenvalue(t, points):
     return best
 
 
-def full_grid_radius(t, m):
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo, hi, tol=1e-12):
+    """Abscissa of the maximum of a unimodal-on-bracket function."""
+    a, b = lo, hi
+    m1 = b - GOLDEN * (b - a)
+    m2 = a + GOLDEN * (b - a)
+    f1, f2 = f(m1), f(m2)
+    while (b - a) > tol:
+        if f1 > f2:
+            b, m2, f2 = m2, m1, f1
+            m1 = b - GOLDEN * (b - a)
+            f1 = f(m1)
+        else:
+            a, m1, f1 = m1, m2, f2
+            m2 = a + GOLDEN * (b - a)
+            f2 = f(m2)
+    return 0.5 * (a + b)
+
+
+def golden_polish(a, h1, h2, theta0, step):
+    """The polish numerical_radius had before Newton's: golden-section search of lambda."""
+
+    def lam_max(theta):
+        return float(np.linalg.eigvalsh(math.cos(theta) * h1 + math.sin(theta) * h2)[-1])
+
+    theta_star = golden_max(lam_max, theta0 - step, theta0 + step)
+    x = np.linalg.eigh(math.cos(theta_star) * h1 + math.sin(theta_star) * h2)[1][:, -1]
+    return abs(complex(np.vdot(x, a @ x))), x
+
+
+def newton_polish(a, h1, h2, theta0, step):
+    scale = max_abs(a)
+    return radius._polish(a, h1 / scale, h2 / scale, theta0, step)[:2]
+
+
+def full_grid_radius(t, m, polish=newton_polish):
     """(value, witness, upper) of numerical_radius with every grid phase solved.
 
     This is numerical_radius before its grid was solved coarse to fine: the
-    reference the pruned grid must match bit for bit.
+    reference the pruned grid must match bit for bit.  ``polish`` maps (T,
+    (T+T*)/2, i(T-T*)/2, a peak's phase, the grid step) to the peak's value
+    and witness.
     """
     a = np.asarray(t, dtype=complex)
     e1 = np.zeros(a.shape[0], dtype=complex)
@@ -70,10 +109,6 @@ def full_grid_radius(t, m):
     half = m // 2 if m % 2 == 0 else m
     ev = np.linalg.eigvalsh(cos_t[:half, None, None] * h1 + sin_t[:half, None, None] * h2)
     lam = np.concatenate([ev[:, -1], -ev[:, 0]]) if half < m else ev[:, -1]
-
-    def lam_max(theta):
-        return float(np.linalg.eigvalsh(math.cos(theta) * h1 + math.sin(theta) * h2)[-1])
-
     peaks = np.flatnonzero((lam >= np.roll(lam, 1)) & (lam >= np.roll(lam, -1)))
     if peaks.size == 0:
         peaks = np.array([int(np.argmax(lam))])
@@ -81,10 +116,7 @@ def full_grid_radius(t, m):
     step = 2.0 * math.pi / m
     best_val, best_vec = -math.inf, e1
     for k in peaks:
-        theta0 = float(thetas[k])
-        theta_star = radius._golden_max(lam_max, theta0 - step, theta0 + step)
-        x = np.linalg.eigh(math.cos(theta_star) * h1 + math.sin(theta_star) * h2)[1][:, -1]
-        val = abs(complex(np.vdot(x, a @ x)))
+        val, x = polish(a, h1, h2, float(thetas[k]), step)
         if val > best_val:
             best_val, best_vec = val, x
     return best_val, best_vec, max(float(lam.max()) / math.cos(math.pi / m), best_val)
@@ -247,6 +279,47 @@ class TestPhaseGrid:
             assert solved[0] == 23
             assert sum(solved) < 0.1 * 1440
 
+    @pytest.mark.parametrize("m", PRUNE_RESOLUTIONS)
+    def test_polish_agrees_with_golden_section(self, m):
+        # both settle on the same smooth maximum; what is left is the
+        # rounding of |<T x, x>|, a d-term sum of entries up to max|T_ij|
+        eps = np.finfo(np.float64).eps
+        for t in ensemble_mix(140) + tie_cases():
+            est = numerical_radius(t, resolution=m)
+            golden = full_grid_radius(t, m, golden_polish)[0]
+            a = np.asarray(t, dtype=complex)
+            assert abs(est.value - golden) <= 8 * a.shape[0] * eps * max_abs(a)
+            assert est.value <= est.upper
+            assert est.converged
+
+    def test_polish_takes_few_eigensolves(self, monkeypatch):
+        real_eigh, real_polish = np.linalg.eigh, radius._polish
+        counts = {"eigh": 0, "peaks": 0}
+
+        def counting_eigh(h):
+            counts["eigh"] += 1
+            return real_eigh(h)
+
+        def counting_polish(*args):
+            counts["peaks"] += 1
+            return real_polish(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(radius, "_polish", counting_polish)
+        for seed in range(4):
+            for m in (720, 2880):
+                numerical_radius(gen_matrix(EnsembleSpec("ginibre", 16, seed=seed)), resolution=m)
+        # the golden-section polish took about 50 eigensolves per peak
+        assert counts["eigh"] <= 10 * counts["peaks"]
+
+    def test_polish_cap_reports_unconverged(self, monkeypatch):
+        t = gen_matrix(EnsembleSpec("ginibre", 5, seed=3))
+        assert numerical_radius(t).converged
+        monkeypatch.setattr(radius, "_POLISH_ITERS", 1)
+        est = numerical_radius(t)
+        assert not est.converged
+        assert est.value <= est.upper
+
     def test_odd_resolution_matches_even(self):
         # every kind at m=721; at m=9 a bracket spans 80 degrees, which only
         # resolves the global maximum where lambda_max(theta) is smooth, so
@@ -274,8 +347,7 @@ class TestPhaseGrid:
 
     @pytest.mark.parametrize("solver, batched", [
         ("eigvalsh", True),  # the phase grid
-        ("eigvalsh", False),  # the golden-section objective
-        ("eigh", False),  # the witness at the polished phase
+        ("eigh", False),  # a step of the polish
     ])
     def test_solver_failure_is_eigen_failure(self, monkeypatch, solver, batched):
         real = getattr(np.linalg, solver)
@@ -322,9 +394,9 @@ class TestCertifiedUpper:
 
     def test_exact_bound_is_raised_to_the_value(self):
         # Johnson's bound is exact here, and rounding puts it below the value
-        t = gen_matrix(EnsembleSpec("hermitian", 5, seed=1003))
+        t = gen_matrix(EnsembleSpec("hermitian", 6, seed=1094))
         est = numerical_radius(t, resolution=9)
-        assert est.value == est.upper == pytest.approx(2.2448629249825793, rel=1e-15)
+        assert est.value == est.upper == pytest.approx(3.0342309774582614, rel=1e-15)
 
     def test_coarse_grid_can_miss_the_peak(self):
         t = gen_matrix(EnsembleSpec("diagonal", 3, seed=1181))
