@@ -488,6 +488,16 @@ def _sandwich_bound(theorem: str, triples, alpha, p, r, levels, cfg, samples, la
     )
 
 
+def _identity_triples(tup) -> list:
+    """The sandwich triples (I, T_i, I) of a plain tuple."""
+    triples = []
+    for t_i in tup:
+        t_m = as_complex_matrix(t_i)
+        eye = np.eye(t_m.shape[0], dtype=np.complex128)
+        triples.append((eye, t_m, eye))
+    return triples
+
+
 def bound_thm26(
     triples,
     *,
@@ -497,7 +507,6 @@ def bound_thm26(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    theorem: str = "thm2.6",
 ) -> BoundReport:
     """Sandwich bound for tuples (A_i* T_i B_i) with the power pair t^alpha, t^(1-alpha).
 
@@ -506,7 +515,7 @@ def bound_thm26(
     two or more levels.  Reports keep the printed functional (it is the
     stated rule); the pointwise proof chain uses the proof-valid one.
     """
-    return _sandwich_bound(theorem, triples, alpha, p, r, levels, cfg, samples, label=alpha)
+    return _sandwich_bound("thm2.6", triples, alpha, p, r, levels, cfg, samples, label=alpha)
 
 
 def bound_cor27(
@@ -536,18 +545,10 @@ def bound_cor28(
     levels: int = 1,
     cfg: SphereOptConfig,
     samples: int = 256,
-    theorem: str = "cor2.8",
 ) -> BoundReport:
     """Sandwich bound with trivial outer factors: tuples (T_1, ..., T_n)."""
-    triples = []
-    for t_i in tup:
-        t_m = as_complex_matrix(t_i)
-        eye = np.eye(t_m.shape[0], dtype=np.complex128)
-        triples.append((eye, t_m, eye))
-    return bound_thm26(
-        triples, alpha=alpha, p=p, r=r, levels=levels, cfg=cfg, samples=samples,
-        theorem=theorem,
-    )
+    triples = _identity_triples(tup)
+    return _sandwich_bound("cor2.8", triples, alpha, p, r, levels, cfg, samples, label=alpha)
 
 
 def bound_cor210(
@@ -560,10 +561,8 @@ def bound_cor210(
     samples: int = 256,
 ) -> BoundReport:
     """Two-operator, single-level specialization of the sandwich bound."""
-    return bound_cor28(
-        [b_mat, c_mat], alpha=alpha, p=p, r=1.0, levels=1, cfg=cfg, samples=samples,
-        theorem="cor2.10",
-    )
+    triples = _identity_triples([b_mat, c_mat])
+    return _sandwich_bound("cor2.10", triples, alpha, p, 1.0, 1, cfg, samples, label=alpha)
 
 
 def _per_operator_parts(label: str, tup, alpha: float, p: float):
@@ -699,10 +698,9 @@ def bound_thm213(
     levels: int,
     cfg: SphereOptConfig,
     samples: int = 256,
-    theorem: str = "thm2.13",
 ) -> BoundReport:
     """Weighted absolute-power bound on the l^p radius (p >= 2)."""
-    return _abs_power_bound(theorem, tup, alpha, p, levels, cfg, samples)
+    return _abs_power_bound("thm2.13", tup, alpha, p, levels, cfg, samples)
 
 
 def bound_cor215(
@@ -784,22 +782,8 @@ def _two_exponent_parts(label: str, tup, p: float, q: float, r: float):
     return mats, ats, aas, p_mat, q_mat, (r / p) * p_mat.norm() + (r / q) * q_mat.norm()
 
 
-def bound_thm216(
-    tup,
-    *,
-    p: float,
-    q: float,
-    r: float,
-    levels: int,
-    cfg: SphereOptConfig,
-    samples: int = 256,
-    theorem: str = "thm2.16",
-) -> BoundReport:
-    """Two-exponent product bound on absolute-value tuples.
-
-    Complex pair inner products take their modulus before powering; that is
-    the only reading under which the scalar refinement applies.
-    """
+def _two_exponent_bound(theorem: str, tup, p, q, r, levels, cfg, samples):
+    """The body of the two-exponent family."""
     _require_finite(theorem, p=p, q=q, r=r)
     mats, ats, aas, p_mat, q_mat, norm_term = _two_exponent_parts(theorem, tup, p, q, r)
     nu = r / p
@@ -830,6 +814,24 @@ def bound_thm216(
     )
 
 
+def bound_thm216(
+    tup,
+    *,
+    p: float,
+    q: float,
+    r: float,
+    levels: int,
+    cfg: SphereOptConfig,
+    samples: int = 256,
+) -> BoundReport:
+    """Two-exponent product bound on absolute-value tuples.
+
+    Complex pair inner products take their modulus before powering; that is
+    the only reading under which the scalar refinement applies.
+    """
+    return _two_exponent_bound("thm2.16", tup, p, q, r, levels, cfg, samples)
+
+
 def bound_cor218(
     tup,
     *,
@@ -838,10 +840,7 @@ def bound_cor218(
     samples: int = 256,
 ) -> BoundReport:
     """Euclidean-radius product bound: both exponents 2, combination weight 1."""
-    return bound_thm216(
-        tup, p=2.0, q=2.0, r=1.0, levels=levels, cfg=cfg, samples=samples,
-        theorem="cor2.18",
-    )
+    return _two_exponent_bound("cor2.18", tup, 2.0, 2.0, 1.0, levels, cfg, samples)
 
 
 def bound_cor219(

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import bounds as bnd
 from . import harness
 from .errors import DomainError, NumradError
+from .linalg import DIM_CAP
 from .radius import SphereOptConfig, numerical_radius, wp_radius
 
 REPORT_COLUMNS = (
@@ -42,6 +44,17 @@ REPORT_COLUMNS = (
 )
 
 GAIN_COLUMNS = ("theorem", "trials", "min_gain", "mean_gain", "max_gain", "violations")
+
+# the keys of the JSON line ``bound`` prints for a BoundReport, in order
+BOUND_KEYS = (
+    "theorem", "dim", "n_ops", "nu_or_alpha", "p", "q", "r", "N", "lhs_lower",
+    "norm_term", "refinement_upper", "rhs_refined_est", "rhs_baseline",
+    "refinement_gain", "pointwise_violations", "pointwise_samples",
+    "dominance_violations", "status", "extras",
+)
+
+# the record attribute a column or key reads, where the two names differ
+_ATTRS = {"N": "levels", "violations": "pointwise_violations"}
 
 MATRIX_FORMAT_VERSION = "1"
 
@@ -124,28 +137,12 @@ def _parse_matrix_entry(index: int, entry) -> tuple[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _cell(value) -> str:
+    return fmt17(value) if isinstance(value, float) else str(value)
+
+
 def record_row(rec: harness.TrialRecord) -> list[str]:
-    return [
-        rec.theorem,
-        str(rec.trial),
-        str(rec.dim),
-        rec.ensemble,
-        fmt17(rec.nu_or_alpha),
-        fmt17(rec.p),
-        fmt17(rec.q),
-        fmt17(rec.r),
-        str(rec.levels),
-        str(rec.n_ops),
-        fmt17(rec.lhs_lower),
-        fmt17(rec.norm_term),
-        fmt17(rec.refinement_upper),
-        fmt17(rec.rhs_refined_est),
-        fmt17(rec.rhs_baseline),
-        fmt17(rec.refinement_gain),
-        str(rec.pointwise_violations),
-        rec.status,
-        str(rec.seed),
-    ]
+    return [_cell(getattr(rec, _ATTRS.get(c, c))) for c in REPORT_COLUMNS]
 
 
 def report_csv(records) -> str:
@@ -157,19 +154,8 @@ def report_csv(records) -> str:
 def gain_summary_csv(report: harness.SuiteReport) -> str:
     lines = [",".join(GAIN_COLUMNS)]
     for theorem in sorted(report.aggregates):
-        agg = report.aggregates[theorem]
-        lines.append(
-            ",".join(
-                [
-                    theorem,
-                    str(agg["trials"]),
-                    fmt17(agg["min_gain"]),
-                    fmt17(agg["mean_gain"]),
-                    fmt17(agg["max_gain"]),
-                    str(agg["pointwise_violations"]),
-                ]
-            )
-        )
+        agg = {"theorem": theorem, **report.aggregates[theorem]}
+        lines.append(",".join(_cell(agg[_ATTRS.get(c, c)]) for c in GAIN_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -193,6 +179,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise DomainError(f"dims must look like LO:HI, got {text!r}") from exc
     if not (1 <= lo <= hi):
         raise DomainError(f"bad dim range {text!r}")
+    if hi > DIM_CAP:
+        raise DomainError(f"dimension {hi} exceeds cap {DIM_CAP}")
     return tuple(range(lo, hi + 1))
 
 
@@ -263,35 +251,9 @@ def cmd_bound(args) -> int:
     mats = read_matrix_file(args.input)
     result = _bound_dispatch(args, mats)
     if isinstance(result, bnd.CartesianCheck):
-        record = {
-            "theorem": "cor2.15",
-            "w_squared": result.w_squared,
-            "half_norm": result.half_norm,
-            "identity_residual": result.identity_residual,
-            "we_squared": result.we_squared,
-        }
+        record = {"theorem": "cor2.15", **asdict(result)}
     else:
-        record = {
-            "theorem": result.theorem,
-            "dim": result.dim,
-            "n_ops": result.n_ops,
-            "nu_or_alpha": result.nu_or_alpha,
-            "p": result.p,
-            "q": result.q,
-            "r": result.r,
-            "N": result.levels,
-            "lhs_lower": result.lhs_lower,
-            "norm_term": result.norm_term,
-            "refinement_upper": result.refinement_upper,
-            "rhs_refined_est": result.rhs_refined_est,
-            "rhs_baseline": result.rhs_baseline,
-            "refinement_gain": result.refinement_gain,
-            "pointwise_violations": result.pointwise_violations,
-            "pointwise_samples": result.pointwise_samples,
-            "dominance_violations": result.dominance_violations,
-            "status": result.status,
-            "extras": result.extras,
-        }
+        record = {key: getattr(result, _ATTRS.get(key, key)) for key in BOUND_KEYS}
     print(json.dumps(_nan_to_null(record), allow_nan=False))
     return 0
 

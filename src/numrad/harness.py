@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -149,6 +149,19 @@ class TrialRecord:
     extras: dict = field(default_factory=dict)
 
 
+# the record fields a trial takes from its BoundReport
+_SHARED_FIELDS = tuple(
+    f.name for f in fields(TrialRecord) if f.name in {g.name for g in fields(bnd.BoundReport)}
+)
+
+# the record fields that stay undefined when no bound report exists
+_UNDEFINED = dict.fromkeys(
+    ("nu_or_alpha", "p", "q", "r", "lhs_lower", "norm_term", "refinement_upper",
+     "rhs_refined_est", "rhs_baseline", "refinement_gain"),
+    math.nan,
+)
+
+
 @dataclass
 class SuiteReport:
     config: dict
@@ -229,37 +242,21 @@ def run_trial(theorem: str, point: dict, trial: int, pt_idx: int, cfg: SuiteConf
     ensemble = "+".join(dict.fromkeys(kinds))
     sphere = replace(cfg.sphere, seed=seed)
     t0 = time.perf_counter()
-    rep = None
-    status_override = None
     try:
         ops = [_draw(kind, dim, seed, rule.bump + i) for i, kind in enumerate(kinds)]
         rep = getattr(bnd, rule.fn)(
             *rule.arrange(ops), cfg=sphere, samples=cfg.samples, **point
         )
     except NumradError as exc:
-        status_override = f"error-{type(exc).__name__}"
-    wall = time.perf_counter() - t0
-
-    if rep is None:
         return TrialRecord(
             theorem=theorem, trial=trial, dim=dim, ensemble=ensemble,
-            nu_or_alpha=float("nan"), p=float("nan"), q=float("nan"), r=float("nan"),
-            levels=int(point.get("levels", 1)), n_ops=n_ops,
-            lhs_lower=float("nan"), norm_term=float("nan"),
-            refinement_upper=float("nan"), rhs_refined_est=float("nan"),
-            rhs_baseline=float("nan"), refinement_gain=float("nan"),
-            pointwise_violations=0, status=status_override, seed=seed, wall_time=wall,
+            levels=int(point.get("levels", 1)), n_ops=n_ops, pointwise_violations=0,
+            status=f"error-{type(exc).__name__}", seed=seed,
+            wall_time=time.perf_counter() - t0, **_UNDEFINED,
         )
-    return TrialRecord(
-        theorem=rep.theorem, trial=trial, dim=rep.dim, ensemble=ensemble,
-        nu_or_alpha=rep.nu_or_alpha, p=rep.p, q=rep.q, r=rep.r, levels=rep.levels,
-        n_ops=rep.n_ops, lhs_lower=rep.lhs_lower, norm_term=rep.norm_term,
-        refinement_upper=rep.refinement_upper, rhs_refined_est=rep.rhs_refined_est,
-        rhs_baseline=rep.rhs_baseline, refinement_gain=rep.refinement_gain,
-        pointwise_violations=rep.pointwise_violations, status=rep.status, seed=seed,
-        dominance_violations=rep.dominance_violations, wall_time=wall,
-        extras=rep.extras,
-    )
+    wall = time.perf_counter() - t0
+    shared = {name: getattr(rep, name) for name in _SHARED_FIELDS}
+    return TrialRecord(trial=trial, ensemble=ensemble, seed=seed, wall_time=wall, **shared)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -281,11 +278,8 @@ def _lemma_record(lemma: str, trial: int, dim: int, kind: str, violations: int,
                   worst_margin: float, cases: int, seed: int, wall: float,
                   extras: dict | None = None) -> TrialRecord:
     return TrialRecord(
-        theorem=lemma, trial=trial, dim=dim, ensemble=kind,
-        nu_or_alpha=float("nan"), p=float("nan"), q=float("nan"), r=float("nan"),
-        levels=1, n_ops=1, lhs_lower=float("nan"), norm_term=float("nan"),
-        refinement_upper=float("nan"), rhs_refined_est=float("nan"),
-        rhs_baseline=float("nan"), refinement_gain=worst_margin,
+        theorem=lemma, trial=trial, dim=dim, ensemble=kind, levels=1, n_ops=1,
+        **{**_UNDEFINED, "refinement_gain": worst_margin},
         pointwise_violations=violations,
         status=bnd.VERIFIED_POINTWISE if violations == 0 else bnd.CERTIFIED_VIOLATION,
         seed=seed, wall_time=wall, extras=extras or {"cases": cases},

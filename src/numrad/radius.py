@@ -66,28 +66,26 @@ def random_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.nd
     return z
 
 
+# the sphere search's first step length, and the central-difference step
+# of black-box objectives (form objectives have exact gradients)
+_INIT_STEP = 0.2
+_FD_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class SphereOptConfig:
-    """Knobs for the sphere search; identical config means identical output.
-
-    ``fd_step`` is the central-difference step, used only for black-box
-    objectives; form objectives have exact gradients.
-    """
+    """Knobs for the sphere search; identical config means identical output."""
 
     restarts: int = 64
     max_iters: int = 500
     step_tol: float = 1e-10
     seed: int = 0
-    fd_step: float = 1e-6
-    init_step: float = 0.2
 
     def __post_init__(self):
         for name, ok, rule in (
             ("restarts", self.restarts >= 1, ">= 1"),
             ("max_iters", self.max_iters >= 1, ">= 1"),
             ("step_tol", 0.0 <= self.step_tol < math.inf, "finite and >= 0"),
-            ("fd_step", 0.0 < self.fd_step < math.inf, "finite and > 0"),
-            ("init_step", 0.0 < self.init_step <= 1.0, "in (0, 1]"),
         ):
             if not ok:
                 raise DomainError(f"{name} must be {rule}, got {getattr(self, name)}")
@@ -199,7 +197,7 @@ def _checked(vals) -> np.ndarray:
     return vals
 
 
-def _central_differences(f_batch: Callable[..., np.ndarray], split, blocks, h: float):
+def _central_differences(f_batch: Callable[..., np.ndarray], split, blocks):
     """Values of a black-box objective at unit rows, with central differences on demand.
 
     The values take one objective call.  The gradient at a row takes 2n
@@ -212,10 +210,10 @@ def _central_differences(f_batch: Callable[..., np.ndarray], split, blocks, h: f
         def grad_at(sel) -> np.ndarray:
             rows = u[sel]
             k, n = rows.shape
-            step = np.eye(n) * h
+            step = np.eye(n) * _FD_STEP
             stencil = np.concatenate([rows[:, None, :] + step, rows[:, None, :] - step])
             vals = _checked(f_batch(*split(_normalize_blocks(stencil.reshape(-1, n), blocks))))
-            return (vals[: k * n].reshape(k, n) - vals[k * n :].reshape(k, n)) / (2.0 * h)
+            return (vals[: k * n].reshape(k, n) - vals[k * n :].reshape(k, n)) / (2.0 * _FD_STEP)
 
         return _checked(f_batch(*split(u))), grad_at
 
@@ -235,7 +233,7 @@ def _extremize_on_spheres(
     ``objective`` maps a complex (m, dim) batch (two of them for pairs) to a
     float vector.  Objectives are only ever evaluated at unit vectors.  A
     _FormObjective gives exact gradients; any other callable gets central
-    differences with step ``cfg.fd_step``.  Each iteration asks for the
+    differences with step ``_FD_STEP``.  Each iteration asks for the
     values at the trial rows, and then for the gradients at the accepted
     ones.
     """
@@ -256,7 +254,7 @@ def _extremize_on_spheres(
             return _checked(vals), grad.__getitem__
 
     else:
-        value_grad = _central_differences(objective, split, blocks, cfg.fd_step)
+        value_grad = _central_differences(objective, split, blocks)
 
     def ev(u: np.ndarray):
         vals, grad_at = value_grad(u)
@@ -266,7 +264,7 @@ def _extremize_on_spheres(
     u = _normalize_blocks(rng.standard_normal((cfg.restarts, d_total)), blocks)
     vals, grad_at = ev(u)
     grad = grad_at(slice(None))
-    alpha = np.full(cfg.restarts, cfg.init_step)
+    alpha = np.full(cfg.restarts, _INIT_STEP)
     active = np.ones(cfg.restarts, dtype=bool)
 
     trial_factors = np.array([4.0, 1.0, 0.25])
@@ -551,8 +549,8 @@ def tuple_lp_values(ops: Sequence[np.ndarray], p: float, xs: np.ndarray) -> np.n
 
 def wp_radius(tup, p: float, cfg: SphereOptConfig) -> RadiusEstimate:
     """Sphere-optimized estimate of the l^p radius of an operator tuple."""
-    if p < 1.0:
-        raise DomainError(f"wp radius requires p >= 1, got {p}")
+    if not (1.0 <= p < math.inf):
+        raise DomainError(f"wp radius requires a finite p >= 1, got p={p}")
     ot = tup if isinstance(tup, OperatorTuple) else OperatorTuple.of(tup)
     lp = _FormObjective(np.stack(ot.ops), "complex", _lp_of_forms(p))
     return _extremize_on_spheres(lp, ot.dim, cfg, minimize=False)

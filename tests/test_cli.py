@@ -283,6 +283,17 @@ class TestRadius:
         assert rc == 0
         assert float(out.splitlines()[0].split()[0]) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
+    def test_tuple_p_outside_the_domain_exits_one(self, tmp_path, p):
+        path = tmp_path / "m.json"
+        write_matrix_file(path, [("A", np.eye(2)), ("B", np.diag([1.0, 0.0]))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = _run(["radius", "--input", str(path), "--names", "A,B", f"--p={p}"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: wp radius requires a finite p >= 1, got p="), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_name(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         write_matrix_file(path, [("I", np.eye(2))])
@@ -501,6 +512,14 @@ class TestDimensionCap:
         rc, out, err = _run(["radius", "--input", str(cap_file), "--names", names])
         assert rc == 1 and out == ""
         assert err.startswith("error: dimension 65 exceeds cap 64"), err
+
+    @pytest.mark.parametrize("command", [["verify", "--suite", "bounds"], ["compare"]])
+    def test_suite_refuses_dims_past_the_cap(self, tmp_path, command):
+        out = tmp_path / "r.csv"
+        rc, stdout, err = _run([*command, "--trials", "1", "--dims", "65:65", "-o", str(out)])
+        assert rc == 1 and stdout == ""
+        assert err == "error: dimension 65 exceeds cap 64\n", err
+        assert not out.exists()
 
     # every rule's layout, and cor2.15's one-operand Cartesian check
     @pytest.mark.parametrize("theorem, count", [

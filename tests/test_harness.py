@@ -115,6 +115,17 @@ class TestSuite:
         assert rec.status == "error-DomainError"
         assert np.isnan(rec.lhs_lower)
 
+    def test_trial_error_csv_row(self):
+        # the parameters stay nan and N falls back to the point's levels
+        from numrad.cli import report_csv
+
+        rec = run_trial("thm2.13", {"alpha": 0.5, "p": 1.0, "levels": 1}, 0, 0,
+                        SuiteConfig(trials=1, samples=32))
+        assert report_csv([rec]).splitlines()[1] == (
+            "thm2.13,0,2,ginibre,nan,nan,nan,nan,1,1,nan,nan,nan,nan,nan,nan,0,"
+            "error-DomainError,7828820741994447770"
+        )
+
     def test_hermitian_balanced_trial(self):
         # a Hermitian draw with balanced weight keeps the correction at zero
         from numrad import bounds as bnd
