@@ -11,14 +11,10 @@ from .errors import (
 )
 from .linalg import (
     PsdMatrix,
-    abs_adj,
-    abs_op,
     abs_pair,
     hermitian_eigen,
     op_norm,
-    psd_power,
     quad_form,
-    spectral_apply,
 )
 from .refine import (
     RefinementParams,
@@ -29,7 +25,6 @@ from .refine import (
     young_refined_gap,
 )
 from .radius import (
-    OperatorTuple,
     RadiusEstimate,
     SphereOptConfig,
     minimize_over_sphere,

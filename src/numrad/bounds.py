@@ -245,31 +245,30 @@ def _evaluate(
     cfg: SphereOptConfig,
     samples: int,
     baselines: Sequence[_FormObjective] = (),
-    pair: bool = False,
     combine: Callable | None = None,
     extras: Callable | None = None,
 ) -> BoundReport:
     """Run one rule instance through the chain every bound rule shares.
 
     Searches each correction objective for its infimum (over pairs (x, y)
-    with ``pair``), samples from the lhs witnesses then the infimum
-    witnesses (as pairs: the lhs witness pair, the infimum pairs, then each
-    lhs witness with itself), and evaluates the objectives and their
-    ``baselines`` (the level-1 or proof forms; none counts dominance
-    against zero) there.
+    when the objectives are of kind "pair"), samples from the lhs witnesses
+    then the infimum witnesses (as pairs: the lhs witness pair, the infimum
+    pairs, then each lhs witness with itself), and evaluates the objectives
+    and their ``baselines`` (the level-1 or proof forms; none counts
+    dominance against zero) there.
     ``lhs_points(*pts)`` is checked against ``rhs_points(printed,
     baseline, *pts)``.  ``combine(minima, baseline_minima)`` gives
     (refinement_upper, rhs_baseline); by default the one minimum is the
     refinement and rhs_baseline subtracts the baseline's.
     ``extras(printed, *pts)`` adds the rule's own evidence.
     """
-    if pair:
-        inf_ests = [minimize_over_sphere_pair(None, dim, cfg, objective_batch=o) for o in objectives]
+    if objectives and objectives[0].kind == "pair":
+        inf_ests = [minimize_over_sphere_pair(o, dim, cfg) for o in objectives]
         special = [tuple(lhs_witnesses), *((e.witness, e.witness2) for e in inf_ests)]
         special += [(w, w) for w in lhs_witnesses]
         pts = _pair_samples(dim, samples, psd_sources, special, cfg.seed)
     else:
-        inf_ests = [minimize_over_sphere(None, dim, cfg, objective_batch=o) for o in objectives]
+        inf_ests = [minimize_over_sphere(o, dim, cfg) for o in objectives]
         witnesses = [*lhs_witnesses, *(e.witness for e in inf_ests)]
         pts = (_sample_vectors(dim, samples, psd_sources, witnesses, cfg.seed),)
     printed = [o(*pts) for o in objectives]
@@ -809,7 +808,6 @@ def _two_exponent_bound(theorem: str, tup, p, q, r, levels, cfg, samples):
         baselines=[_pair_objective(ats, aas, p, q, nu, 1)],
         lhs_points=lhs_points,
         rhs_points=lambda lam, delta, xs, ys: norm_term - lam[0],
-        pair=True,
         cfg=cfg, samples=samples,
     )
 

@@ -19,7 +19,7 @@ from . import bounds as bnd
 from . import harness
 from .errors import DomainError, NumradError
 from .linalg import DIM_CAP
-from .radius import SphereOptConfig, numerical_radius, wp_radius
+from .radius import SphereOptConfig, _require_lp_exponent, numerical_radius, wp_radius
 
 REPORT_COLUMNS = (
     "theorem",
@@ -184,9 +184,16 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _require_seed(seed: int) -> None:
+    """numpy seeds only from nonnegative integers."""
+    if seed < 0:
+        raise DomainError(f"--seed must be at least 0, got {seed}")
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
+    _require_seed(args.seed)
     dims = _parse_dims(args.dims)
     cfg = harness.SuiteConfig(trials=args.trials, dims=dims, master_seed=args.seed)
     if args.suite == "bounds":
@@ -217,6 +224,7 @@ def cmd_radius(args) -> int:
     missing = [n for n in names if n not in mats]
     if missing:
         raise DomainError(f"matrices not found in {args.input}: {', '.join(missing)}")
+    _require_lp_exponent(args.p)
     if len(names) == 1:
         est = numerical_radius(mats[names[0]])
     else:
@@ -272,6 +280,7 @@ def _nan_to_null(value):
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be at least 1, got {args.count}")
+    _require_seed(args.seed)
     if args.kind not in harness.ENSEMBLE_KINDS:
         raise DomainError(
             f"unknown kind {args.kind!r} (choose from {', '.join(harness.ENSEMBLE_KINDS)})"
@@ -289,6 +298,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_seed(args.seed)
     dims = _parse_dims(args.dims)
     cfg = harness.SuiteConfig(trials=args.trials, dims=dims, master_seed=args.seed)
     report = harness.compare_refinements(cfg)

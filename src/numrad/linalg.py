@@ -186,28 +186,6 @@ def abs_pair(t) -> tuple[PsdMatrix, PsdMatrix]:
     return PsdMatrix.from_eigensystem(s, v), PsdMatrix.from_eigensystem(s, uu)
 
 
-def abs_op(t) -> PsdMatrix:
-    """Operator absolute value |T| = (T*T)^(1/2)."""
-    return abs_pair(t)[0]
-
-
-def abs_adj(t) -> PsdMatrix:
-    """|T*| = (TT*)^(1/2)."""
-    return abs_pair(t)[1]
-
-
-def psd_power(a, s: float) -> PsdMatrix:
-    """Spectral power of a PSD matrix (accepts PsdMatrix or an array)."""
-    p = a if isinstance(a, PsdMatrix) else PsdMatrix.from_matrix(a)
-    return p.power(s)
-
-
-def spectral_apply(a, phi) -> PsdMatrix:
-    """Apply a nonnegative scalar function to a PSD matrix spectrally."""
-    p = a if isinstance(a, PsdMatrix) else PsdMatrix.from_matrix(a)
-    return p.apply(phi)
-
-
 def op_norm(t) -> float:
     """Operator norm, the largest singular value."""
     a = as_complex_matrix(t)

@@ -10,10 +10,10 @@ x) and all infimum terms are estimated by projected gradient
 ascent/descent on the unit sphere in stacked real coordinates.  Objectives
 built from quadratic forms <M_i x, x> (or <M_i x, y> for pairs) carry
 their exact gradient: the Wirtinger derivative of a form is M_i x, pushed
-through the objective by the chain rule.  Any other callable objective
-gets central differences, taken only at the rows the search accepts.
-Each evaluated row is normalized once, in place, and an accepted step
-keeps the normalized trial row it was judged on, with its gradient.
+through the objective by the chain rule.  The search takes only such
+objectives.  Each evaluated row is normalized once, in place, and an
+accepted step keeps the normalized trial row it was judged on, with its
+gradient.
 
 Estimate semantics are first-class: every supremum estimate is a lower
 bound of the true value and every infimum estimate is an upper bound.
@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
-from .linalg import as_complex_matrix, max_abs, quad_forms_many
+from .errors import DomainError, EigenFailure, ObjectiveError
+from .linalg import as_complex_matrix, max_abs, quad_forms_many, require_same_dim
 
 LOWER_OF_SUP = "lower-of-sup"
 UPPER_OF_INF = "upper-of-inf"
@@ -66,10 +66,8 @@ def random_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.nd
     return z
 
 
-# the sphere search's first step length, and the central-difference step
-# of black-box objectives (form objectives have exact gradients)
+# the sphere search's first step length
 _INIT_STEP = 0.2
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,7 @@ class _FormObjective:
     the complex <M_i x, x>, "pair" the complex <M_i x, y> of a pair (x, y).  ``g``
     maps the (m, n) forms to the m values and to dg, the derivative of g by
     each form (for complex forms the Wirtinger derivative d/dc; g is real, so
-    d/dconj(c) is its conjugate).  Called with a batch it returns the values,
-    like any batched objective.
+    d/dconj(c) is its conjugate).  Called with a batch it returns the values.
     """
 
     mats: np.ndarray
@@ -197,46 +194,17 @@ def _checked(vals) -> np.ndarray:
     return vals
 
 
-def _central_differences(f_batch: Callable[..., np.ndarray], split, blocks):
-    """Values of a black-box objective at unit rows, with central differences on demand.
-
-    The values take one objective call.  The gradient at a row takes 2n
-    stencil rows, so it is built only for the rows asked for, in one more
-    call: every plus row of their stencil, then every minus row, each
-    normalized.
-    """
-
-    def value_grad(u: np.ndarray):
-        def grad_at(sel) -> np.ndarray:
-            rows = u[sel]
-            k, n = rows.shape
-            step = np.eye(n) * _FD_STEP
-            stencil = np.concatenate([rows[:, None, :] + step, rows[:, None, :] - step])
-            vals = _checked(f_batch(*split(_normalize_blocks(stencil.reshape(-1, n), blocks))))
-            return (vals[: k * n].reshape(k, n) - vals[k * n :].reshape(k, n)) / (2.0 * _FD_STEP)
-
-        return _checked(f_batch(*split(u))), grad_at
-
-    return value_grad
-
-
 def _extremize_on_spheres(
-    objective: Callable[..., np.ndarray],
-    dim: int,
-    cfg: SphereOptConfig,
-    *,
-    minimize: bool = False,
-    pair: bool = False,
+    objective: _FormObjective, dim: int, cfg: SphereOptConfig, *, minimize: bool = False
 ) -> RadiusEstimate:
-    """Projected gradient search on S^(2 dim - 1) (or a pair of them).
+    """Projected gradient search on S^(2 dim - 1), or on a pair of them for "pair" forms.
 
     ``objective`` maps a complex (m, dim) batch (two of them for pairs) to a
-    float vector.  Objectives are only ever evaluated at unit vectors.  A
-    _FormObjective gives exact gradients; any other callable gets central
-    differences with step ``_FD_STEP``.  Each iteration asks for the
-    values at the trial rows, and then for the gradients at the accepted
-    ones.
+    float vector, with its exact gradient.  Objectives are only ever
+    evaluated at unit vectors.  Each iteration evaluates the trial rows and
+    keeps the gradients of the accepted ones.
     """
+    pair = objective.kind == "pair"
     two_d = 2 * dim
     blocks = [(0, two_d)] + ([(two_d, 2 * two_d)] if pair else [])
     d_total = blocks[-1][1]
@@ -245,25 +213,15 @@ def _extremize_on_spheres(
     def split(u: np.ndarray) -> list[np.ndarray]:
         return [u[:, s : s + dim] + 1j * u[:, s + dim : e] for s, e in blocks]
 
-    if isinstance(objective, _FormObjective):
-
-        def value_grad(u: np.ndarray):
-            vals, dz = objective.value_grad(*split(u))
-            # real coordinates (Re z, Im z): the gradient is 2 (Re, Im) of d f / d conj(z)
-            grad = 2.0 * np.concatenate([part for z in dz for part in (z.real, z.imag)], axis=1)
-            return _checked(vals), grad.__getitem__
-
-    else:
-        value_grad = _central_differences(objective, split, blocks)
-
     def ev(u: np.ndarray):
-        vals, grad_at = value_grad(u)
-        return sign * vals, lambda sel: sign * grad_at(sel)
+        vals, dz = objective.value_grad(*split(u))
+        # real coordinates (Re z, Im z): the gradient is 2 (Re, Im) of d f / d conj(z)
+        grad = (2.0 * sign) * np.concatenate([part for z in dz for part in (z.real, z.imag)], axis=1)
+        return sign * _checked(vals), grad
 
     rng = rng_from(cfg.seed, 0)
     u = _normalize_blocks(rng.standard_normal((cfg.restarts, d_total)), blocks)
-    vals, grad_at = ev(u)
-    grad = grad_at(slice(None))
+    vals, grad = ev(u)
     alpha = np.full(cfg.restarts, _INIT_STEP)
     active = np.ones(cfg.restarts, dtype=bool)
 
@@ -284,7 +242,7 @@ def _extremize_on_spheres(
         # overshoot oscillation a single fixed step is prone to
         steps = alpha[idx, None] * trial_factors
         cand = (ua[:, None, :] + steps[:, :, None] * g[:, None, :]).reshape(-1, d_total)
-        cvals, cgrad_at = ev(_normalize_blocks(cand, blocks))
+        cvals, cgrad = ev(_normalize_blocks(cand, blocks))
         flat = np.arange(k) * n_trial + cvals.reshape(k, n_trial).argmax(axis=1)
         best_cand = cvals[flat]
         better = best_cand > vals[idx]
@@ -293,7 +251,7 @@ def _extremize_on_spheres(
         if took.size:
             u[took] = cand[chosen]
             vals[took] = best_cand[better]
-            grad[took] = cgrad_at(chosen)
+            grad[took] = cgrad[chosen]
             alpha[took] = np.minimum(np.maximum(steps.reshape(-1)[chosen], 1e-14), 1.0)
         alpha[idx[~better]] *= 0.25
         done = alpha[idx] * np.maximum(gnorm, 1e-30) < cfg.step_tol
@@ -515,30 +473,6 @@ def numerical_radius(t, resolution: int = 720) -> RadiusEstimate:
     return RadiusEstimate(best_val, best_vec, converged=converged, upper=upper)
 
 
-@dataclass(frozen=True)
-class OperatorTuple:
-    """An ordered tuple of same-dimension square complex matrices."""
-
-    ops: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, mats: Sequence) -> "OperatorTuple":
-        if len(mats) < 1:
-            raise DomainError("an operator tuple needs at least one operator")
-        ops = tuple(as_complex_matrix(m) for m in mats)
-        dims = {m.shape[0] for m in ops}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"tuple has mixed dimensions {sorted(dims)}")
-        return cls(ops)
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
 def tuple_lp_values(ops: Sequence[np.ndarray], p: float, xs: np.ndarray) -> np.ndarray:
     """(sum_i |<T_i x, x>|^p)^(1/p) for each row vector x."""
     acc = np.zeros(xs.shape[0])
@@ -547,49 +481,32 @@ def tuple_lp_values(ops: Sequence[np.ndarray], p: float, xs: np.ndarray) -> np.n
     return acc ** (1.0 / p)
 
 
-def wp_radius(tup, p: float, cfg: SphereOptConfig) -> RadiusEstimate:
-    """Sphere-optimized estimate of the l^p radius of an operator tuple."""
+def _require_lp_exponent(p: float) -> None:
     if not (1.0 <= p < math.inf):
         raise DomainError(f"wp radius requires a finite p >= 1, got p={p}")
-    ot = tup if isinstance(tup, OperatorTuple) else OperatorTuple.of(tup)
-    lp = _FormObjective(np.stack(ot.ops), "complex", _lp_of_forms(p))
-    return _extremize_on_spheres(lp, ot.dim, cfg, minimize=False)
 
 
-def we_radius(tup, cfg: SphereOptConfig) -> RadiusEstimate:
+def wp_radius(tup: Sequence, p: float, cfg: SphereOptConfig) -> RadiusEstimate:
+    """Sphere-optimized estimate of the l^p radius of an operator tuple."""
+    _require_lp_exponent(p)
+    if len(tup) < 1:
+        raise DomainError("an operator tuple needs at least one operator")
+    ops = [as_complex_matrix(t) for t in tup]
+    dim = require_same_dim(*ops)
+    lp = _FormObjective(np.stack(ops), "complex", _lp_of_forms(p))
+    return _extremize_on_spheres(lp, dim, cfg, minimize=False)
+
+
+def we_radius(tup: Sequence, cfg: SphereOptConfig) -> RadiusEstimate:
     """Euclidean radius: the p = 2 case."""
     return wp_radius(tup, 2.0, cfg)
 
 
-def minimize_over_sphere(
-    objective: Callable[[np.ndarray], float] | None,
-    dim: int,
-    cfg: SphereOptConfig,
-    objective_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> RadiusEstimate:
+def minimize_over_sphere(objective: _FormObjective, dim: int, cfg: SphereOptConfig) -> RadiusEstimate:
     """Upper bound of an infimum over the unit sphere (any feasible point is one)."""
-    if objective_batch is None:
-        if objective is None:
-            raise DomainError("an objective is required")
-
-        def objective_batch(xs: np.ndarray) -> np.ndarray:
-            return np.array([float(objective(x)) for x in xs])
-
-    return _extremize_on_spheres(objective_batch, dim, cfg, minimize=True)
+    return _extremize_on_spheres(objective, dim, cfg, minimize=True)
 
 
-def minimize_over_sphere_pair(
-    objective: Callable[[np.ndarray, np.ndarray], float] | None,
-    dim: int,
-    cfg: SphereOptConfig,
-    objective_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> RadiusEstimate:
-    """Infimum estimate over independent unit-vector pairs; two witnesses."""
-    if objective_batch is None:
-        if objective is None:
-            raise DomainError("an objective is required")
-
-        def objective_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-            return np.array([float(objective(x, y)) for x, y in zip(xs, ys)])
-
-    return _extremize_on_spheres(objective_batch, dim, cfg, minimize=True, pair=True)
+def minimize_over_sphere_pair(objective: _FormObjective, dim: int, cfg: SphereOptConfig) -> RadiusEstimate:
+    """Infimum estimate of a "pair" objective over independent unit-vector pairs; two witnesses."""
+    return _extremize_on_spheres(objective, dim, cfg, minimize=True)

@@ -285,14 +285,16 @@ class TestRadius:
 
     @pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
     def test_tuple_p_outside_the_domain_exits_one(self, tmp_path, p):
+        # one name runs numerical_radius, which takes no p, yet p is checked
         path = tmp_path / "m.json"
         write_matrix_file(path, [("A", np.eye(2)), ("B", np.diag([1.0, 0.0]))])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc, out, err = _run(["radius", "--input", str(path), "--names", "A,B", f"--p={p}"])
-        assert rc == 1 and out == ""
-        assert err.startswith("error: wp radius requires a finite p >= 1, got p="), err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        for names in ("A,B", "A"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc, out, err = _run(["radius", "--input", str(path), "--names", names, f"--p={p}"])
+            assert rc == 1 and out == "", names
+            assert err.startswith("error: wp radius requires a finite p >= 1, got p="), err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_name(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -551,6 +553,19 @@ class TestCountArguments:
         out = tmp_path / "g.json"
         rc, stdout, err = _run(["gen", "--kind", "psd", "--dim", "2", "--count", count, "-o", str(out)])
         assert rc == 1 and stdout == "" and err.startswith("error: --count must be at least 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "ginibre", "--dim", "2"],
+        ["verify", "--suite", "lemmas", "--trials", "1"],
+        ["compare", "--trials", "1", "--dims", "2:2"],
+    ], ids=["gen", "verify", "compare"])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_exits_one(self, tmp_path, argv, seed):
+        out = tmp_path / "out"
+        rc, stdout, err = _run(argv + ["--seed", seed, "-o", str(out)])
+        assert rc == 1 and stdout == ""
+        assert err == f"error: --seed must be at least 0, got {seed}\n", err
         assert not out.exists()
 
 

@@ -15,16 +15,13 @@ from numrad.errors import (
 from numrad.linalg import (
     DIM_CAP,
     PsdMatrix,
-    abs_adj,
-    abs_op,
+    abs_pair,
     as_complex_matrix,
     hermitian_eigen,
     op_norm,
     pair_forms_many,
-    psd_power,
     quad_form,
     quad_forms_many,
-    spectral_apply,
 )
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -66,34 +63,34 @@ class TestHermitianEigen:
 
 class TestAbsOp:
     def test_diagonal_modulus(self):
-        a = abs_op(np.diag([-2.0, 3.0j]))
+        a = abs_pair(np.diag([-2.0, 3.0j]))[0]
         np.testing.assert_allclose(a.mat, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_nilpotent(self):
-        np.testing.assert_allclose(abs_op(NIL).mat, np.diag([0.0, 1.0]), atol=1e-14)
-        np.testing.assert_allclose(abs_adj(NIL).mat, np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(abs_pair(NIL)[0].mat, np.diag([0.0, 1.0]), atol=1e-14)
+        np.testing.assert_allclose(abs_pair(NIL)[1].mat, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_unitary_gives_identity(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(random_complex(rng, 4))
-        np.testing.assert_allclose(abs_op(q).mat, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(abs_pair(q)[0].mat, np.eye(4), atol=1e-12)
 
     def test_zero(self):
-        np.testing.assert_allclose(abs_op(np.zeros((3, 3))).mat, 0.0, atol=1e-15)
+        np.testing.assert_allclose(abs_pair(np.zeros((3, 3)))[0].mat, 0.0, atol=1e-15)
 
     def test_normal_operator_abs_equal(self):
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(random_complex(rng, 3))
         lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         t = (q * lam) @ q.conj().T
-        np.testing.assert_allclose(abs_op(t).mat, abs_adj(t).mat, atol=1e-12)
+        np.testing.assert_allclose(abs_pair(t)[0].mat, abs_pair(t)[1].mat, atol=1e-12)
 
     def test_square_recovers_gram(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             d = int(rng.integers(2, 9))
             t = random_complex(rng, d)
-            a = abs_op(t)
+            a = abs_pair(t)[0]
             gram = t.conj().T @ t
             scale = max(1.0, np.abs(t).max() ** 2)
             assert np.max(np.abs(a.mat @ a.mat - gram)) <= 1e-8 * scale
@@ -101,23 +98,23 @@ class TestAbsOp:
 
 class TestPsdPower:
     def test_sqrt(self):
-        p = psd_power(np.diag([4.0, 9.0]), 0.5)
+        p = PsdMatrix.from_matrix(np.diag([4.0, 9.0])).power(0.5)
         np.testing.assert_allclose(p.mat, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_zeroth_power_is_identity(self):
         # includes a singular operand: 0^0 = 1 eigenvalue-wise
-        p = psd_power(np.diag([0.0, 3.0]), 0.0)
+        p = PsdMatrix.from_matrix(np.diag([0.0, 3.0])).power(0.0)
         np.testing.assert_allclose(p.mat, np.eye(2), atol=1e-14)
 
     def test_cube(self):
-        p = psd_power(np.diag([2.0]), 3.0)
+        p = PsdMatrix.from_matrix(np.diag([2.0])).power(3.0)
         np.testing.assert_allclose(p.mat, [[8.0]], atol=1e-12)
 
     def test_identity_power_one(self):
         rng = np.random.default_rng(4)
         g = random_complex(rng, 4)
         m = g.conj().T @ g
-        p = psd_power(m, 1.0)
+        p = PsdMatrix.from_matrix(m).power(1.0)
         assert np.max(np.abs(p.mat - m)) <= 1e-10 * max(1.0, np.abs(m).max())
 
     def test_power_composition(self):
@@ -134,7 +131,7 @@ class TestPsdPower:
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
-            psd_power(np.eye(2), -0.5)
+            PsdMatrix.from_matrix(np.eye(2)).power(-0.5)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPsd):
@@ -177,11 +174,11 @@ class TestSpectralApply:
         rng = np.random.default_rng(6)
         g = random_complex(rng, 3)
         m = g.conj().T @ g
-        out = spectral_apply(m, lambda t: t)
+        out = PsdMatrix.from_matrix(m).apply(lambda t: t)
         assert np.max(np.abs(out.mat - m)) <= 1e-10 * max(1.0, np.abs(m).max())
 
     def test_sqrt(self):
-        out = spectral_apply(np.diag([4.0]), lambda t: t**0.5)
+        out = PsdMatrix.from_matrix(np.diag([4.0])).apply(lambda t: t**0.5)
         np.testing.assert_allclose(out.mat, [[2.0]], atol=1e-13)
 
     def test_agrees_with_psd_power(self):
@@ -197,17 +194,17 @@ class TestSpectralApply:
         # commuting case: t^alpha times t^(1-alpha) recovers the operand
         d = np.diag([0.5, 2.0, 7.0])
         alpha = 0.3
-        left = spectral_apply(d, lambda t: t**alpha).mat
-        right = spectral_apply(d, lambda t: t ** (1 - alpha)).mat
+        left = PsdMatrix.from_matrix(d).apply(lambda t: t**alpha).mat
+        right = PsdMatrix.from_matrix(d).apply(lambda t: t ** (1 - alpha)).mat
         np.testing.assert_allclose(left @ right, d, atol=1e-12)
 
     def test_negative_range_rejected(self):
         with pytest.raises(FunctionRangeError):
-            spectral_apply(np.diag([1.0, 2.0]), lambda t: t - 1.5)
+            PsdMatrix.from_matrix(np.diag([1.0, 2.0])).apply(lambda t: t - 1.5)
 
     def test_nan_range_rejected(self):
         with pytest.raises(FunctionRangeError):
-            spectral_apply(np.diag([1.0]), lambda t: float("nan"))
+            PsdMatrix.from_matrix(np.diag([1.0])).apply(lambda t: float("nan"))
 
 
 class TestOpNorm:
@@ -225,7 +222,7 @@ class TestOpNorm:
         for _ in range(30):
             d = int(rng.integers(2, 8))
             t = random_complex(rng, d)
-            assert op_norm(t) == pytest.approx(abs_op(t).norm(), abs=1e-9 * max(1.0, op_norm(t)))
+            assert op_norm(t) == pytest.approx(abs_pair(t)[0].norm(), abs=1e-9 * max(1.0, op_norm(t)))
 
     def test_adjoint_and_scaling(self):
         rng = np.random.default_rng(9)

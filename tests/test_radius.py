@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from numrad import radius
+from numrad import bounds, radius
 from numrad.errors import DimensionMismatch, DomainError, EigenFailure, ObjectiveError
 from numrad.harness import GENERAL_KINDS, EnsembleSpec, SuiteConfig, gen_matrix
-from numrad.linalg import abs_adj, abs_op, max_abs, op_norm, pair_forms_many
+from numrad.linalg import PsdMatrix, abs_pair, max_abs, op_norm
 from numrad.radius import (
     LOWER_OF_SUP,
     UPPER_OF_INF,
-    OperatorTuple,
     SphereOptConfig,
     minimize_over_sphere,
     minimize_over_sphere_pair,
@@ -24,7 +23,6 @@ from numrad.radius import (
     we_radius,
     wp_radius,
 )
-from numrad.refine import weighted_bracket_sum
 
 NIL = np.array([[0, 1], [0, 0]], dtype=complex)
 CFG = SphereOptConfig(restarts=16, max_iters=250, seed=1234)
@@ -32,6 +30,21 @@ CFG = SphereOptConfig(restarts=16, max_iters=250, seed=1234)
 
 def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def form_objective(mats, kind, g):
+    """A sphere-search objective g(forms) of the forms of ``mats``."""
+    return radius._FormObjective(np.asarray(mats, dtype=complex), kind, g)
+
+
+def constant(value):
+    """g for an objective that is ``value`` everywhere, with zero gradient."""
+    return lambda forms: (np.full(len(forms), value), np.zeros_like(forms))
+
+
+def rayleigh(m):
+    """x -> <M x, x> for a Hermitian M."""
+    return form_objective([m], "hermitian", lambda forms: (forms[:, 0], np.ones_like(forms)))
 
 
 def ensemble_mix(count=200):
@@ -444,8 +457,9 @@ class TestWpRadius:
                 wp_radius([np.eye(2)], p, CFG)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            OperatorTuple.of([np.eye(2), np.eye(3)])
+        for tup, err in (([np.eye(2), np.eye(3)], DimensionMismatch), ([], DomainError)):
+            with pytest.raises(err):
+                wp_radius(tup, 2.0, CFG)
 
     def test_witness_reproducible(self):
         rng = np.random.default_rng(33)
@@ -465,75 +479,40 @@ class TestWpRadius:
 
 class TestMinimizeOverSphere:
     def test_constant(self):
-        est = minimize_over_sphere(lambda x: 3.25, 3, CFG)
+        est = minimize_over_sphere(form_objective([np.eye(3)], "hermitian", constant(3.25)), 3, CFG)
         assert est.value == pytest.approx(3.25, abs=1e-12)
         assert est.bound_side == UPPER_OF_INF
 
     def test_rayleigh_minimum(self):
-        m = np.diag([1.0, 2.0])
-        est = minimize_over_sphere(
-            None, 2, CFG,
-            objective_batch=lambda xs: np.einsum("mi,ij,mj->m", xs.conj(), m, xs).real,
-        )
+        est = minimize_over_sphere(rayleigh(np.diag([1.0, 2.0])), 2, CFG)
         assert est.value == pytest.approx(1.0, abs=1e-9)
         assert abs(est.witness[0]) == pytest.approx(1.0, abs=1e-4)
 
     def test_nan_objective_raises(self):
         with pytest.raises(ObjectiveError):
-            minimize_over_sphere(lambda x: float("nan"), 2, CFG)
+            minimize_over_sphere(form_objective([np.eye(2)], "hermitian", constant(np.nan)), 2, CFG)
 
     def test_witness_reproducible(self):
-        m = np.diag([1.0, 5.0, 2.0])
-        fb = lambda xs: np.einsum("mi,ij,mj->m", xs.conj(), m, xs).real
-        est = minimize_over_sphere(None, 3, CFG, objective_batch=fb)
-        assert fb(est.witness[None])[0] == pytest.approx(est.value, abs=1e-12)
-
-
-    def test_black_box_gradients_only_at_accepted_rows(self):
-        # per iteration: three trial rows per active restart, and a 2n-row
-        # stencil (n real coordinates) only for the restarts that moved
-        rows = []
-        m = np.diag(np.arange(1.0, 17.0))
-
-        def fb(xs):
-            rows.append(len(xs))
-            return np.einsum("mi,ij,mj->m", xs.conj(), m, xs).real
-
-        cfg = SphereOptConfig(restarts=6, max_iters=60, seed=16)
-        minimize_over_sphere(None, 16, cfg, objective_batch=fb)
-        n = 2 * 16
-        assert sum(rows) <= (cfg.max_iters + 1) * cfg.restarts * (3 + 2 * n)
+        objective = rayleigh(np.diag([1.0, 5.0, 2.0]))
+        est = minimize_over_sphere(objective, 3, CFG)
+        assert objective(est.witness[None])[0] == pytest.approx(est.value, abs=1e-12)
 
 
 class TestMinimizePair:
     def test_constant(self):
-        est = minimize_over_sphere_pair(lambda x, y: 1.5, 2, CFG)
+        est = minimize_over_sphere_pair(form_objective([np.eye(2)], "pair", constant(1.5)), 2, CFG)
         assert est.value == pytest.approx(1.5, abs=1e-12)
         assert est.witness2 is not None
 
-    def test_separable_sum(self):
-        a = np.diag([1.0, 3.0])
-        b = np.diag([2.0, 0.5])
-
-        def fb(xs, ys):
-            va = np.einsum("mi,ij,mj->m", xs.conj(), a, xs).real
-            vb = np.einsum("mi,ij,mj->m", ys.conj(), b, ys).real
-            return va + vb
-
-        est = minimize_over_sphere_pair(None, 2, CFG, objective_batch=fb)
-        assert est.value == pytest.approx(1.0 + 0.5, abs=1e-8)
-
     def test_identity_tuple_vanishes_on_diagonal(self):
-        # the pair correction with identity operators is zero when both
-        # vectors coincide; the search must find (a phase of) that point
-        def fb(xs, ys):
-            ip = np.abs(np.einsum("mi,mi->m", ys.conj(), xs)) ** 2
-            a = 2.0 * ip
-            b = 2.0 * ip
-            return 0.5 * (np.sqrt(a) - np.sqrt(b)) ** 2 + (1.0 - ip) * 0.1
+        # 0.1 (1 - |<x, y>|^2), of the identity's pair form, is zero when y
+        # is a phase of x; the search must find such a pair
+        def g(c):
+            return 0.1 * (1.0 - np.abs(c[:, 0]) ** 2), -0.1 * c.conj()
 
-        est = minimize_over_sphere_pair(None, 2, CFG, objective_batch=fb)
+        est = minimize_over_sphere_pair(form_objective([np.eye(2)], "pair", g), 2, CFG)
         assert est.value == pytest.approx(0.0, abs=1e-6)
+        assert abs(np.vdot(est.witness, est.witness2)) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSphereOptConfig:
@@ -581,21 +560,21 @@ class TestSearchLoopEdges:
 
     @pytest.mark.parametrize("pair", [False, True])
     def test_nan_in_one_row_raises(self, pair):
-        def f(*zs):
-            return np.where(np.arange(len(zs[0])) == 1, np.nan, 0.0)
+        def g(forms):
+            return np.where(np.arange(len(forms)) == 1, np.nan, 0.0), np.zeros_like(forms)
 
         search = minimize_over_sphere_pair if pair else minimize_over_sphere
         with pytest.raises(ObjectiveError):
-            search(None, 2, CFG, objective_batch=f)
+            search(form_objective([np.eye(2)], "pair" if pair else "hermitian", g), 2, CFG)
 
     def test_opposite_infinities_do_not_raise(self):
         # their sum is NaN, so the exact scan decides: there is no NaN
-        def f(xs):
-            return np.where(np.arange(len(xs)) % 2 == 0, np.inf, -np.inf)
+        def g(forms):
+            return np.where(np.arange(len(forms)) % 2 == 0, np.inf, -np.inf), np.zeros_like(forms)
 
         cfg = SphereOptConfig(restarts=4, max_iters=3, seed=1)
         with np.errstate(invalid="ignore"):
-            est = minimize_over_sphere(None, 2, cfg, objective_batch=f)
+            est = minimize_over_sphere(form_objective([np.eye(2)], "hermitian", g), 2, cfg)
         assert math.isinf(est.value)
 
 
@@ -615,16 +594,6 @@ SEARCH_PINS = {
         "8e0db020a56f70271481063f002380c98cd4573bcd037dc5d2782dbfc04cb84d",
         None,
     ),
-    ("sphere", 2): (
-        "0x1.6a4cf2c0120e0p-5", True,
-        "0d318a178f1953c34a1ef84754948d8fd5e1eb47fab3efc21b8adcce88d22570",
-        None,
-    ),
-    ("pair", 2): (
-        "0x1.01c2c2452bc33p-68", True,
-        "c8689a2d718952a292aa5e6a96e225c1b966e33aef5e169bf5f7acffb5fb590f",
-        "955d5813a37a191e51a8fb9d4031a3dab42765a02ce17760737a006b51a7ab33",
-    ),
     ("wp1", 6): (
         "0x1.a6b4eee824502p+2", False,
         "ad02014e8884b97cc7e745ccd82f5a3c6a5478202aaf18ed599acea38559f400",
@@ -634,16 +603,6 @@ SEARCH_PINS = {
         "0x1.3b9fe25b95059p+2", True,
         "89263dab32be613db20aa2a043b48df516129d49e43dc25ae58d5713518b7e86",
         None,
-    ),
-    ("sphere", 6): (
-        "0x1.cd2e17cda1081p-4", False,
-        "a871d3130bdd2bbda395fe88f5b2eb999d4b905c00246058a751e4ae25be677f",
-        None,
-    ),
-    ("pair", 6): (
-        "0x1.e16fed32a1721p-23", False,
-        "70a10ebc819d915e22c5726a6b50c2f3d7885c7c7d5f33ab2c9171269c2cf722",
-        "e7af1f8da9855a8513e8a3d251330598217bbaffc805bb3b0eb3c9d33bfb048e",
     ),
     ("wp1", 16): (
         "0x1.9bc0a7c17413bp+3", False,
@@ -655,36 +614,49 @@ SEARCH_PINS = {
         "364cb3c5a8dfe22f5ed271564d5e5598ab63cd2ce3a1205e36680c7a480ad810",
         None,
     ),
-    ("sphere", 16): (
-        "0x1.4d66ec446b525p-3", False,
-        "c801168f513b06fd456b8c2fd171d310d7c82362b4aae4a3b0419e22adca0052",
+    ("bracket", 2): (
+        "0x1.0c10d79dca21ap-3", True,
+        "9c2ab91f4a8386fd9f0454d2d8515dbe45c77244d00d03909b44f5ffff60dc0f",
         None,
     ),
-    ("pair", 16): (
-        "0x1.fdb5acc425bc2p-20", False,
-        "9561ba539cd396884bc86d3a39f55bcc5c771c96bc53a4060f9a98b0a7284718",
-        "21eb713efde5fa8cae41140f8563c1993c419bbbcb8dc17456a369a5ee594b80",
+    ("pair_bracket", 2): (
+        "0x1.ce96f5fdc27b4p-5", False,
+        "0dce6f43ce5ac1d189e59cc6e315762e7138ebb2ce34c092b3ca5d48cd47ea82",
+        "4c66d379a23803170bc62014fbff26cb10e6d9b311a279fc7bc5ce935d24da71",
+    ),
+    ("bracket", 6): (
+        "0x1.4c5f387152a21p-3", True,
+        "9f3d5e453e6297796130cba2f4b935591ac9e082ecc7e75eb1031acf6f232fd8",
+        None,
+    ),
+    ("pair_bracket", 6): (
+        "0x1.36a80ca4d108fp-3", False,
+        "eaed2a71454cb7a9581b96b46ea968ad9dd81731d0df7dce31d637dadb5b32a5",
+        "0aada988576645507639144dedffb8755d0e111d176d98ec49031cd5fad28e4c",
+    ),
+    ("bracket", 16): (
+        "0x1.5815e99e6c354p-3", False,
+        "faa1fc5aeb006ac5157c8222b31b63c2f52c8a07b6c142a7a0821ac5c82a631a",
+        None,
+    ),
+    ("pair_bracket", 16): (
+        "0x1.5470f8f6fdd71p-1", False,
+        "dd8f9772225d8ab0a8d618858ad43406c8702d9d4b621209f757434fee6338a3",
+        "d4a2c414bb119d205ed50b0f7d4ed786595de95167a311ac0a4b661a5a6ae5bf",
     ),
 }
 
-# (value.hex(), converged) of the same searches as recorded before the
-# search took exact gradients for form objectives (the wp searches) and
-# evaluated black-box stencils around the trial rows (sphere, pair).  Only
-# the gradient source and the batching changed, so each pinned value must
-# stay within rounding of these.
+# (value.hex(), converged) of the wp searches as recorded before the search
+# took exact gradients for form objectives.  Only the gradient source and
+# the batching changed, so each pinned value must stay within rounding of
+# these.
 PARENT_PIN_VALUES = {
     ("wp1", 2): ("0x1.4a7e12e13a5cap+2", True),
     ("wp2", 2): ("0x1.df5bfbe9895d2p+1", True),
-    ("sphere", 2): ("0x1.6a4cf2c0120e0p-5", True),
-    ("pair", 2): ("0x1.01c2a550760ccp-68", True),
     ("wp1", 6): ("0x1.a6b4eee824501p+2", False),
     ("wp2", 6): ("0x1.3b9fe25b95056p+2", True),
-    ("sphere", 6): ("0x1.cd2e17cda1083p-4", False),
-    ("pair", 6): ("0x1.e16fed32a35ccp-23", False),
     ("wp1", 16): ("0x1.9bc0a7c174136p+3", False),
     ("wp2", 16): ("0x1.2336aa4aa4f4dp+3", False),
-    ("sphere", 16): ("0x1.4d66ec446b525p-3", False),
-    ("pair", 16): ("0x1.fdb5acc425bc2p-20", False),
 }
 
 
@@ -692,20 +664,18 @@ def _pinned_search(name, d):
     rng = np.random.default_rng(500 + d)
     t1, t2 = (random_complex(rng, d) for _ in range(2))
     cfg = SphereOptConfig(restarts=6, max_iters=60, seed=d)
-    a, b = abs_op(t1), abs_adj(t2)
     if name in ("wp1", "wp2"):
         return wp_radius([t1, t2], float(name[2]), cfg)
-    if name == "sphere":
-        def eta(xs):
-            qa = a.quad_many(xs)
-            return weighted_bracket_sum(qa, b.quad_many(xs), 0.3, 3) + 0.1 * qa
-        return minimize_over_sphere(None, d, cfg, objective_batch=eta)
-
-    def lam(xs, ys):
-        br = weighted_bracket_sum(a.quad_many(xs), b.quad_many(ys), 0.7, 2)
-        return br + np.abs(pair_forms_many(t1, xs, ys)) ** 2
-
-    return minimize_over_sphere_pair(None, d, cfg, objective_batch=lam)
+    a, b = abs_pair(t1)[0], abs_pair(t2)[1]
+    if name == "bracket":
+        # <B x, x> >= 1 + ||A|| > <A x, x>, so the bracket never vanishes
+        shifted = PsdMatrix.from_matrix(b.mat + (1.0 + a.norm()) * np.eye(d))
+        return minimize_over_sphere(bounds._bracket_objective([a, shifted], [0], [1], 0.3, 3), d, cfg)
+    # 2d - 1 generic forms <A_i x, y> have no common zero on a pair of
+    # spheres, and the b side is twice the a side, so the minimum is positive
+    ats = [a, b] + [abs_pair(random_complex(rng, d))[0] for _ in range(2 * d - 3)]
+    doubled = [PsdMatrix.from_matrix(2.0 * m.mat) for m in ats]
+    return minimize_over_sphere_pair(bounds._pair_objective(ats, doubled, 1.0, 1.0, 0.7, 2), d, cfg)
 
 
 @pytest.mark.parametrize("name, d", list(SEARCH_PINS))
@@ -719,7 +689,7 @@ def test_sphere_search_is_pinned(name, d):
     assert got == SEARCH_PINS[name, d]
 
 
-@pytest.mark.parametrize("name, d", list(SEARCH_PINS))
+@pytest.mark.parametrize("name, d", list(PARENT_PIN_VALUES))
 def test_pins_agree_with_the_parent_search(name, d):
     new_hex, converged = SEARCH_PINS[name, d][:2]
     old_hex, old_converged = PARENT_PIN_VALUES[name, d]
