@@ -58,7 +58,10 @@ from .linalg import (
 from .radius import (
     SphereOptConfig,
     _abs_power,
+    _abs_power_hessian,
+    _block_hessian,
     _FormObjective,
+    _real_coords,
     minimize_over_sphere,
     minimize_over_sphere_pair,
     numerical_radius,
@@ -182,18 +185,28 @@ def _bracket_objective(
 ) -> _FormObjective:
     """sum_k bracket(<A_k x, x>, <B_k x, x>) with A_k = psds[ia[k]], B_k = psds[ib[k]].
 
-    One bracket call covers every k; the search gets the exact gradient.
+    One bracket call covers every k; the search gets the exact gradient
+    and, on request, the exact Hessian.
     """
     ia, ib = list(ia), list(ib)
 
-    def g(forms: np.ndarray):
+    def g(forms: np.ndarray, hess: bool = False):
         a, b = forms[:, ia], forms[:, ib]
         da, db = np.empty_like(a), np.empty_like(b)
-        vals = weighted_bracket_sum(a, b, nu, levels, mode=mode, grad=(da, db)).sum(axis=1)
+        h = (np.empty_like(a), np.empty_like(a), np.empty_like(a)) if hess else None
+        vals = weighted_bracket_sum(a, b, nu, levels, mode=mode, grad=(da, db), hess=h).sum(axis=1)
         dg = np.zeros_like(forms)
         dg[:, ia] += da
         dg[:, ib] += db
-        return vals, dg
+        if not hess:
+            return vals, dg
+        d2g = np.zeros(forms.shape + forms.shape[1:])
+        for k, (i, j) in enumerate(zip(ia, ib)):
+            d2g[:, i, i] += h[0][:, k]
+            d2g[:, i, j] += h[1][:, k]
+            d2g[:, j, i] += h[1][:, k]
+            d2g[:, j, j] += h[2][:, k]
+        return vals, dg, d2g
 
     return _FormObjective(np.stack([m.mat for m in psds]), "hermitian", g)
 
@@ -204,13 +217,29 @@ def _pair_objective(
     """bracket(sum_i |<|T_i| x, y>|^p, sum_i |<|T_i*| x, y>|^q), a function of a pair (x, y)."""
     n = len(ats)
 
-    def g(c: np.ndarray):
+    # a sums the first n forms, b the last n; which one, per real coordinate of the forms
+    side = np.tile(np.repeat([0, 1], n), 2)
+    expo = np.repeat([p, q], n)
+
+    def g(c: np.ndarray, hess: bool = False):
         pow_a, dpow_a = _abs_power(c[:, :n], p)
         pow_b, dpow_b = _abs_power(c[:, n:], q)
         a, b = pow_a.sum(axis=1), pow_b.sum(axis=1)
         da, db = np.empty_like(a), np.empty_like(b)
-        vals = weighted_bracket_sum(a, b, nu, levels, grad=(da, db))
-        return vals, np.concatenate([da[:, None] * dpow_a, db[:, None] * dpow_b], axis=1)
+        h = (np.empty_like(a), np.empty_like(a), np.empty_like(a)) if hess else None
+        vals = weighted_bracket_sum(a, b, nu, levels, grad=(da, db), hess=h)
+        dg = np.concatenate([da[:, None] * dpow_a, db[:, None] * dpow_b], axis=1)
+        if not hess:
+            return vals, dg
+        # chain rule: the bracket's first derivatives times the Hessians of
+        # |c_i|^p (|c_i|^q), plus its second derivatives times the outer
+        # products of the gradients of a and b
+        weight = np.repeat(np.stack([da, db], axis=1), n, axis=1)
+        d2g = _block_hessian(*(weight * hc for hc in _abs_power_hessian(c, expo)))
+        grads = _real_coords(np.concatenate([dpow_a, dpow_b], axis=1))
+        second = np.stack([h[0], h[1], h[1], h[2]], axis=1).reshape(-1, 2, 2)
+        d2g += (grads[:, :, None] * grads[:, None, :]) * second[:, side][:, :, side]
+        return vals, dg, d2g
 
     return _FormObjective(np.stack([m.mat for m in list(ats) + list(aas)]), "pair", g)
 

@@ -190,9 +190,13 @@ def _require_seed(seed: int) -> None:
         raise DomainError(f"--seed must be at least 0, got {seed}")
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {trials}")
+
+
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise DomainError(f"--trials must be at least 1, got {args.trials}")
+    _require_trials(args.trials)
     _require_seed(args.seed)
     dims = _parse_dims(args.dims)
     cfg = harness.SuiteConfig(trials=args.trials, dims=dims, master_seed=args.seed)
@@ -298,12 +302,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_trials(args.trials)
     _require_seed(args.seed)
     dims = _parse_dims(args.dims)
     cfg = harness.SuiteConfig(trials=args.trials, dims=dims, master_seed=args.seed)
     report = harness.compare_refinements(cfg)
-    if not report.records:
-        raise DomainError("empty theorem selection for compare")
     text = report_csv(report.records) + "\n" + gain_summary_csv(report)
     Path(args.output).write_text(text, encoding="utf-8")
     bad = math_failures(report.records)

@@ -127,7 +127,7 @@ def _level_terms(nu: float, levels: int, mode: str) -> tuple[tuple[float, ...], 
 
 
 def weighted_bracket_sum(
-    a, b, nu: float, levels: int, mode: str = "young", grad=None
+    a, b, nu: float, levels: int, mode: str = "young", grad=None, hess=None
 ) -> np.ndarray:
     """Sum over levels of weight_j * bracket_j(a, b)^2, vectorized in a, b.
 
@@ -146,6 +146,13 @@ def weighted_bracket_sum(
     its b.  A derivative is 0 where its argument is 0 after clamping (there
     the true one is 0 or unbounded).  The values returned are the same bits
     with or without ``grad``.
+
+    ``hess``, a triple (daa, dab, dbb) of the same kind, is filled with the
+    second derivatives by a and a, a and b, b and b, under the same
+    convention: 0 where either argument it differentiates by is 0.  They
+    come from the expanded sum, so near a zero bracket they carry a
+    relative rounding error up to about eps / (e_a2 - e_a1)^2 = eps 4^j at
+    level j.
     """
     a = np.maximum(np.asarray(a, dtype=np.float64), 0.0)
     b = np.maximum(np.asarray(b, dtype=np.float64), 0.0)
@@ -168,11 +175,40 @@ def weighted_bracket_sum(
             wt = (2.0 * w) * t
             da += wt * (e_a1 * first - e_a2 * second)
             db += wt * (e_b1 * first - e_b2 * second)
+    derivs = []
     if grad is not None:
-        for d, x in ((da, a), (db, b)):
+        derivs += [(da, (a,)), (db, (b,))]
+    if hess is not None:
+        # expanded, the sum is one of monomials a^p b^q, and a^2 d^2/da^2,
+        # ab d^2/dadb and b^2 d^2/db^2 of each are p (p - 1), p q and
+        # q (q - 1) times it: one product gives all three
+        p, q, coef = _expanded_terms(float(nu), int(levels), mode)
+        scaled = (a[..., None] ** p * b[..., None] ** q) @ coef
+        for k, args in enumerate(((a, a), (a, b), (b, b))):
+            hess[k][...] = scaled[..., k]
+            derivs.append((hess[k], args))
+    for d, args in derivs:
+        for x in args:
             np.divide(d, x, out=d, where=x > 0.0)
             np.copyto(d, 0.0, where=x == 0.0)
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _expanded_terms(nu: float, levels: int, mode: str):
+    """The levels' squared brackets expanded into monomials a^p b^q: p, q and, per monomial,
+    its coefficient times p (p - 1), p q and q (q - 1) as the columns of a (terms, 3) matrix."""
+    p, q, c = [], [], []
+    for w, e_b1, e_a1, e_a2, e_b2 in _level_terms(nu, levels, mode):
+        # w (F - S)^2 = w F^2 - 2 w F S + w S^2 with F = a^e_a1 b^e_b1, S = a^e_a2 b^e_b2
+        p += [2.0 * e_a1, e_a1 + e_a2, 2.0 * e_a2]
+        q += [2.0 * e_b1, e_b1 + e_b2, 2.0 * e_b2]
+        c += [w, -2.0 * w, w]
+    p, q, c = np.array(p), np.array(q), np.array(c)
+    terms = (p, q, np.stack([c * p * (p - 1.0), c * p * q, c * q * (q - 1.0)], axis=1))
+    for t in terms:  # shared by every caller through the cache
+        t.flags.writeable = False
+    return terms
 
 
 def refinement_S(a: float, b: float, params: RefinementParams) -> float:

@@ -394,11 +394,6 @@ class TestCompareCmd:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_selection_exits_one(self, tmp_path, capsys):
-        rc = main(["compare", "--trials", "0", "-o", str(tmp_path / "c.csv")])
-        assert rc == 1
-        assert "empty" in capsys.readouterr().err
-
 
 class TestExitLogic:
     def test_math_failures_counts(self):
@@ -542,6 +537,14 @@ class TestCountArguments:
         out = tmp_path / "r.csv"
         rc, _, err = _run(["verify", "--suite", suite, "--trials", trials, "-o", str(out)])
         assert rc == 1 and err.startswith("error: --trials must be at least 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_compare_needs_a_positive_trial_count(self, tmp_path, trials):
+        out = tmp_path / "c.csv"
+        rc, stdout, err = _run(["compare", "--trials", trials, "-o", str(out)])
+        assert rc == 1 and stdout == ""
+        assert err.startswith("error: --trials must be at least 1"), err
         assert not out.exists()
 
     def test_lemma_suite_needs_a_case(self):

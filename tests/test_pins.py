@@ -16,26 +16,26 @@ import pytest
 from numrad.cli import main, report_csv, write_matrix_file
 from numrad.harness import EnsembleSpec, SuiteConfig, gen_matrix, lemma_suite, run_suite
 
-SUITE_PIN = "4065c79e7693bfa8c5a6b13129ec02ec64abb138c318d8892045ca05da3614cd"
-COMPARE_PIN = "ed7c1c55e630ca0d5cf4d4674e93a60e444655b02a7936a6d252a35de9c8bf08"
+SUITE_PIN = "b5cae7d87c6ec23607459dcba133659b3204e25c142c60373734756b61d48f41"
+COMPARE_PIN = "d4463c84e05696476e8a9badc0b044ed006b96648f8b7ec4afa4ce49d839a47a"
 LEMMA_PIN = "eea9941cf0bf93aeefe23618cebc3e051bdec57b273fa943ed05e70daff889cc"
 
 # (theorem, operands) -> sha256 of the JSON line `bound` prints, at
 # --nu 0.3 --alpha 0.3 --N 2 --seed 4 (and --r 1 for thm2.16)
 BOUND_PINS = {
-    ("thm2.3", "P1,P2,G1"): "7ee56f030c7d0d0219d82eb2283912d4b20e14dc8306286fa20fee4edbbdcd6f",
-    ("thm2.5", "P1,P2,G1"): "26f40c4e31c06f86c28ec708dc69b86136637acb2fcb9ac9586e9f14f093480f",
-    ("thm2.6", "G1,G2,G3"): "42167bc221f2d2872f13ce320aeb2f1ba74a297421e6a3856e522c0adc5ab491",
-    ("cor2.7", "G1,G2"): "c5529606f3bc35fbd2b7506eb0d7a6963bd53e1bba5653bacaff504a1b70e37f",
-    ("cor2.8", "G1,G2"): "07cbf3ebb71bd9dadae103ab9e6789da64940fdc6b052c27995066b8aaa1bcf0",
-    ("cor2.10", "G1,G2"): "0344bbe4e4741243f69463ffa56179d517087043374941c6135cde84b2f0f738",
-    ("thm2.11", "G1,G2"): "eacb1ad70562414e41145e6876ad4c72f170f29c34ee27fb595c4fb7d1dd6a8c",
-    ("thm2.13", "G1,G2"): "a0b43b36aed2e4261f35c2acb6383dd450849b8da2fddee014e3dc75e3e1f5aa",
-    ("cor2.15", "G1,G2"): "872362ce1b869ad632fb64d79a69f9c741a46ec4ecbcde5624e032c87acb515f",
-    ("thm2.16", "G1,G2"): "2b8d5b3c15f0b335fb9390e6e889691fe6b83c0cb5f32dee5d6e83dd42855f69",
-    ("cor2.18", "G1,G2"): "62ce02b4dd18de5024a58817424d9222e8ee4fe9dd65ddd4525b549b1963f299",
+    ("thm2.3", "P1,P2,G1"): "cf5d6cf71b191b69c0c56f9fb2628834fb1f4c2794fd2a92f1723e448d757497",
+    ("thm2.5", "P1,P2,G1"): "1ab896b624a17b71d1616528bcd90fff60d5ed1e4246bfc3d3cbccd286752e07",
+    ("thm2.6", "G1,G2,G3"): "479c8bc535c23ee1896c524ab32904f59fbb29ab9b92cd5f524a097f25d5b245",
+    ("cor2.7", "G1,G2"): "27949a622ba0049eda10018be36a127e230aa569773c485817ff0dce667be805",
+    ("cor2.8", "G1,G2"): "8318f95e7ec20d3c73edef3d44bf4d767e4c9eea92565a5aab76726569852cd2",
+    ("cor2.10", "G1,G2"): "57aba49db6d82cb220090ab3e9ab14689c60a32adae43d4269d4aa093264cc96",
+    ("thm2.11", "G1,G2"): "f4ccc18ff95a75e85125ba9f7a758ca8dffca271d1aa5f08787495c75c3f6059",
+    ("thm2.13", "G1,G2"): "c5dc47cd45ba1e4845891fa2baec6f6f63b8b9007c42a2eb6838d69ef8a1a237",
+    ("cor2.15", "G1,G2"): "e6d6ff716c7b8644a20b3960aa1ad7e494e0b1270b3455b5e8a3171bbde53f73",
+    ("thm2.16", "G1,G2"): "c7cdfd05df8ba34354dd5b0ffd75706abcd9355ec7287a659974e8ee35c7cfe6",
+    ("cor2.18", "G1,G2"): "463ea13c0561b369a5f24364996dd92a350bd85f19af51d92fd7e3ec948a4386",
     ("cor2.19", "P1,P2"): "f5e4d01ee32bfc17a979ebe5e57ebf638a491000fd9129759f0d6f0d30b38fe9",
-    ("cor2.15", "G1"): "9a24202364b5c49c688dbc9ab32466c7764ed4390f012e7b013bb7acc29b15e3",
+    ("cor2.15", "G1"): "be874660cafcdebe062e25a588a8b8ab7722ed1b424e9f8c7e20312f72c1e8ba",
 }
 
 

@@ -32,9 +32,20 @@ def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def form_objective(mats, kind, g):
-    """A sphere-search objective g(forms) of the forms of ``mats``."""
-    return radius._FormObjective(np.asarray(mats, dtype=complex), kind, g)
+def form_objective(mats, kind, g, curvature=0.0):
+    """A sphere-search objective g(forms) of the forms of ``mats``.
+
+    Its Hessian in the real coordinates of the forms is ``curvature`` times
+    the identity.
+    """
+
+    def with_hessian(forms, hess=False):
+        if not hess:
+            return g(forms)
+        k = forms.shape[1] * (1 if kind == "hermitian" else 2)
+        return (*g(forms), np.broadcast_to(curvature * np.eye(k), (len(forms), k, k)))
+
+    return radius._FormObjective(np.asarray(mats, dtype=complex), kind, with_hessian)
 
 
 def constant(value):
@@ -325,6 +336,28 @@ class TestPhaseGrid:
         # the golden-section polish took about 50 eigensolves per peak
         assert counts["eigh"] <= 10 * counts["peaks"]
 
+    def test_flat_and_degenerate_peaks_take_few_eigensolves(self, monkeypatch):
+        # a nilpotent 2x2 has a constant lambda, and c I a top eigenvalue of
+        # multiplicity d with every coupling 0; each took about 35 eigensolves
+        # per peak when the polish bisected them down to 1e-12 in theta
+        real_eigh, real_polish = np.linalg.eigh, radius._polish
+        counts = {"eigh": 0, "peaks": 0}
+
+        def counting_eigh(h):
+            counts["eigh"] += 1
+            return real_eigh(h)
+
+        def counting_polish(*args):
+            counts["peaks"] += 1
+            return real_polish(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(radius, "_polish", counting_polish)
+        for t in tie_cases():
+            counts["eigh"] = counts["peaks"] = 0
+            assert numerical_radius(t).converged
+            assert counts["eigh"] <= 3 * counts["peaks"]
+
     def test_polish_cap_reports_unconverged(self, monkeypatch):
         t = gen_matrix(EnsembleSpec("ginibre", 5, seed=3))
         assert numerical_radius(t).converged
@@ -510,7 +543,7 @@ class TestMinimizePair:
         def g(c):
             return 0.1 * (1.0 - np.abs(c[:, 0]) ** 2), -0.1 * c.conj()
 
-        est = minimize_over_sphere_pair(form_objective([np.eye(2)], "pair", g), 2, CFG)
+        est = minimize_over_sphere_pair(form_objective([np.eye(2)], "pair", g, curvature=-0.2), 2, CFG)
         assert est.value == pytest.approx(0.0, abs=1e-6)
         assert abs(np.vdot(est.witness, est.witness2)) == pytest.approx(1.0, abs=1e-6)
 
@@ -578,30 +611,97 @@ class TestSearchLoopEdges:
         assert math.isinf(est.value)
 
 
+class TestNewtonSteps:
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_steps_climb_within_the_trust_radius(self, pair):
+        rng = np.random.default_rng(45)
+        blocks = [(0, 6)] + ([(6, 12)] if pair else [])
+        rows, n = 50, blocks[-1][1]
+        u = radius._normalize_blocks(rng.standard_normal((rows, n)), blocks)
+        h = rng.standard_normal((rows, n, n))
+        h += h.transpose(0, 2, 1)
+        grad = rng.standard_normal((rows, n))
+        g = radius._project_tangent(grad.copy(), u, blocks)
+        gnorm = np.linalg.norm(g, axis=1)
+        trust = rng.uniform(0.01, 1.0, rows)
+        step, gain = radius._newton_steps(h, grad, g, gnorm, u, blocks, trust)
+        assert (np.linalg.norm(step, axis=1) <= trust * (1.0 + 1e-12)).all()
+        assert (np.einsum("ij,ij->i", step, g) > 0.0).all() and (gain > 0.0).all()
+        for s, e in blocks:
+            assert np.abs(np.einsum("ij,ij->i", step[:, s:e], u[:, s:e])).max() <= 1e-9
+
+    def test_exact_step_at_a_concave_model(self):
+        # on S^1 with f = <H u, u> / 2 near its maximum, the step solves the Newton equation
+        u = np.array([[1.0, 0.0]])
+        h = np.array([[[2.0, 0.3], [0.3, -1.0]]])
+        grad = (h @ u[:, :, None])[:, :, 0]
+        g = radius._project_tangent(grad.copy(), u, [(0, 2)])
+        step, gain = radius._newton_steps(h, grad, g, np.linalg.norm(g, axis=1), u, [(0, 2)], np.ones(1))
+        # Riemannian Hessian on the tangent e_2: -1 - 2 = -3, gradient 0.3
+        assert step[0] == pytest.approx([0.0, 0.1], abs=1e-15)
+        assert gain[0] == pytest.approx(0.5 * 0.3 * 0.1, rel=1e-14)
+
+    @pytest.mark.parametrize("kind, dim", [("hermitian", 12), ("hermitian", 13), ("pair", 6), ("pair", 7)])
+    def test_newton_path_up_to_24_real_coordinates(self, monkeypatch, kind, dim):
+        calls = []
+        real = radius._FormObjective.value_grad_hess
+
+        def counting(self, u):
+            calls.append(u.shape[1])
+            return real(self, u)
+
+        monkeypatch.setattr(radius._FormObjective, "value_grad_hess", counting)
+        m = np.diag(np.arange(1.0, dim + 1.0))
+        cfg = SphereOptConfig(restarts=2, max_iters=5, seed=3)
+        if kind == "pair":
+            minimize_over_sphere_pair(form_objective([m], "pair", constant(0.0)), dim, cfg)
+        else:
+            minimize_over_sphere(rayleigh(m), dim, cfg)
+        newton = (2 if kind == "hermitian" else 4) * dim <= radius._NEWTON_MAX_DIM == 24
+        assert bool(calls) == newton
+
+    @pytest.mark.parametrize("dim", [2, 6, 12])
+    def test_rayleigh_converges_in_few_newton_iterations(self, monkeypatch, dim):
+        calls = []
+        real = radius._FormObjective.value_grad_hess
+        monkeypatch.setattr(radius._FormObjective, "value_grad_hess",
+                            lambda self, u: calls.append(1) or real(self, u))
+        rng = np.random.default_rng(dim)
+        q = np.linalg.qr(random_complex(rng, dim))[0]
+        lam = np.linspace(1.0, 2.0, dim)
+        est = minimize_over_sphere(rayleigh(q @ np.diag(lam) @ q.conj().T), dim, SphereOptConfig(restarts=4, seed=1))
+        assert est.converged
+        assert est.value == pytest.approx(1.0, abs=1e-14)
+        # quadratic convergence: a handful of batched evaluations
+        assert len(calls) <= 12
+
+
 # Pinned outputs of the sphere search: (value.hex(), converged, sha256 of
 # the witness bytes, sha256 of the witness2 bytes).
 # Any change to the rows that reach an objective, or to the arithmetic that
 # produces a kept value, shows up here.  The digests assume IEEE doubles and
-# the BLAS the suite runs with.
+# the BLAS the suite runs with.  Up to 24 real coordinates (dims 2 and 6,
+# and pairs at d = 2 and 6) the search takes Newton steps; at d = 16 it
+# takes first-order steps.
 SEARCH_PINS = {
     ("wp1", 2): (
-        "0x1.4a7e12e13a5c7p+2", True,
-        "eba953ec69033c5dbd0aec5cadbaa5d46eb315cceed47af66f14b245d632ab5c",
+        "0x1.4a7e12e13a5c8p+2", True,
+        "105953ddc5cf74ef1f9f2032fa048bcc485c068504eab9f280af332f76f7afad",
         None,
     ),
     ("wp2", 2): (
-        "0x1.df5bfbe9895d1p+1", True,
-        "8e0db020a56f70271481063f002380c98cd4573bcd037dc5d2782dbfc04cb84d",
+        "0x1.df5bfbe9895d3p+1", True,
+        "83ca149bc66f131c5c8a6bce647a7e74d5ef68d95ebb98f3180fd3b6374ee11f",
         None,
     ),
     ("wp1", 6): (
-        "0x1.a6b4eee824502p+2", False,
-        "ad02014e8884b97cc7e745ccd82f5a3c6a5478202aaf18ed599acea38559f400",
+        "0x1.a6b4eee82450ap+2", True,
+        "329b8d413f11bfe185119129273bf7f2f0534383d5f497b62a011f62e309a029",
         None,
     ),
     ("wp2", 6): (
         "0x1.3b9fe25b95059p+2", True,
-        "89263dab32be613db20aa2a043b48df516129d49e43dc25ae58d5713518b7e86",
+        "b46d1379d90ffbd8d4cabbdc2709da8afc746736c2f456cf9e7ac8faf5a5103d",
         None,
     ),
     ("wp1", 16): (
@@ -610,32 +710,32 @@ SEARCH_PINS = {
         None,
     ),
     ("wp2", 16): (
-        "0x1.2336aa4aa4f4dp+3", False,
+        "0x1.2336aa4aa4f4dp+3", True,
         "364cb3c5a8dfe22f5ed271564d5e5598ab63cd2ce3a1205e36680c7a480ad810",
         None,
     ),
     ("bracket", 2): (
-        "0x1.0c10d79dca21ap-3", True,
-        "9c2ab91f4a8386fd9f0454d2d8515dbe45c77244d00d03909b44f5ffff60dc0f",
+        "0x1.0c10d79dca20dp-3", True,
+        "02cdcab1edbb89d21636ad596f535c8cb14d5540dbb1b21480f5d3dd6ef92c3a",
         None,
     ),
     ("pair_bracket", 2): (
-        "0x1.ce96f5fdc27b4p-5", False,
-        "0dce6f43ce5ac1d189e59cc6e315762e7138ebb2ce34c092b3ca5d48cd47ea82",
-        "4c66d379a23803170bc62014fbff26cb10e6d9b311a279fc7bc5ce935d24da71",
+        "0x1.afe276b24b258p-5", False,
+        "5af3bdc1c783d73f0dc369cac7498a35ea76fa95dba756b9cbff603c109f02e6",
+        "92ab946ea9302b51af4eaec76454961ccf3a51576d7ac81397bca5d829247a06",
     ),
     ("bracket", 6): (
-        "0x1.4c5f387152a21p-3", True,
-        "9f3d5e453e6297796130cba2f4b935591ac9e082ecc7e75eb1031acf6f232fd8",
+        "0x1.4c5f387152a23p-3", True,
+        "26c61dbe9105901b26a5828bc18fa2a7e5295ec088651bbcff820e0d529f8824",
         None,
     ),
     ("pair_bracket", 6): (
-        "0x1.36a80ca4d108fp-3", False,
-        "eaed2a71454cb7a9581b96b46ea968ad9dd81731d0df7dce31d637dadb5b32a5",
-        "0aada988576645507639144dedffb8755d0e111d176d98ec49031cd5fad28e4c",
+        "0x1.42798cfbdd2c6p-4", False,
+        "9cf20a4307da63565893f79a7dc9b3f388d0603ab177c2a631b6a5a1883bed37",
+        "4a30d52ceed089f1e39c03b8e30a0701268efd0c290299cacca610d029f3ad20",
     ),
     ("bracket", 16): (
-        "0x1.5815e99e6c354p-3", False,
+        "0x1.5815e99e6c354p-3", True,
         "faa1fc5aeb006ac5157c8222b31b63c2f52c8a07b6c142a7a0821ac5c82a631a",
         None,
     ),
@@ -646,36 +746,52 @@ SEARCH_PINS = {
     ),
 }
 
-# (value.hex(), converged) of the wp searches as recorded before the search
-# took exact gradients for form objectives.  Only the gradient source and
-# the batching changed, so each pinned value must stay within rounding of
-# these.
+# value.hex() of each pinned search as the first-order search gave it
+# before the search took Newton steps.  A new search may do better, never
+# worse by more than rounding: a lower wp value (a supremum) or a higher
+# infimum counts as worse.
 PARENT_PIN_VALUES = {
-    ("wp1", 2): ("0x1.4a7e12e13a5cap+2", True),
-    ("wp2", 2): ("0x1.df5bfbe9895d2p+1", True),
-    ("wp1", 6): ("0x1.a6b4eee824501p+2", False),
-    ("wp2", 6): ("0x1.3b9fe25b95056p+2", True),
-    ("wp1", 16): ("0x1.9bc0a7c174136p+3", False),
-    ("wp2", 16): ("0x1.2336aa4aa4f4dp+3", False),
+    ("wp1", 2): "0x1.4a7e12e13a5c7p+2",
+    ("wp2", 2): "0x1.df5bfbe9895d1p+1",
+    ("wp1", 6): "0x1.a6b4eee824502p+2",
+    ("wp2", 6): "0x1.3b9fe25b95059p+2",
+    ("wp1", 16): "0x1.9bc0a7c17413bp+3",
+    ("wp2", 16): "0x1.2336aa4aa4f4dp+3",
+    ("bracket", 2): "0x1.0c10d79dca21ap-3",
+    ("pair_bracket", 2): "0x1.ce96f5fdc27b4p-5",
+    ("bracket", 6): "0x1.4c5f387152a21p-3",
+    ("pair_bracket", 6): "0x1.36a80ca4d108fp-3",
+    ("bracket", 16): "0x1.5815e99e6c354p-3",
+    ("pair_bracket", 16): "0x1.5470f8f6fdd71p-1",
 }
 
 
-def _pinned_search(name, d):
+def _pinned_problem(name, d, restarts=6, max_iters=60, seed=None, extra_forms=True):
+    """The objective of a pinned search, its search function and its config."""
     rng = np.random.default_rng(500 + d)
     t1, t2 = (random_complex(rng, d) for _ in range(2))
-    cfg = SphereOptConfig(restarts=6, max_iters=60, seed=d)
+    cfg = SphereOptConfig(restarts=restarts, max_iters=max_iters, seed=d if seed is None else seed)
     if name in ("wp1", "wp2"):
-        return wp_radius([t1, t2], float(name[2]), cfg)
+        p = float(name[2])
+        # the objective wp_radius builds, for checking its witness
+        lp = radius._FormObjective(np.stack([t1, t2]), "complex", radius._lp_of_forms(p))
+        return lp, lambda: wp_radius([t1, t2], p, cfg)
     a, b = abs_pair(t1)[0], abs_pair(t2)[1]
     if name == "bracket":
         # <B x, x> >= 1 + ||A|| > <A x, x>, so the bracket never vanishes
         shifted = PsdMatrix.from_matrix(b.mat + (1.0 + a.norm()) * np.eye(d))
-        return minimize_over_sphere(bounds._bracket_objective([a, shifted], [0], [1], 0.3, 3), d, cfg)
+        objective = bounds._bracket_objective([a, shifted], [0], [1], 0.3, 3)
+        return objective, lambda: minimize_over_sphere(objective, d, cfg)
     # 2d - 1 generic forms <A_i x, y> have no common zero on a pair of
     # spheres, and the b side is twice the a side, so the minimum is positive
-    ats = [a, b] + [abs_pair(random_complex(rng, d))[0] for _ in range(2 * d - 3)]
+    ats = [a, b] + ([abs_pair(random_complex(rng, d))[0] for _ in range(2 * d - 3)] if extra_forms else [])
     doubled = [PsdMatrix.from_matrix(2.0 * m.mat) for m in ats]
-    return minimize_over_sphere_pair(bounds._pair_objective(ats, doubled, 1.0, 1.0, 0.7, 2), d, cfg)
+    objective = bounds._pair_objective(ats, doubled, 1.0, 1.0, 0.7, 2)
+    return objective, lambda: minimize_over_sphere_pair(objective, d, cfg)
+
+
+def _pinned_search(name, d):
+    return _pinned_problem(name, d)[1]()
 
 
 @pytest.mark.parametrize("name, d", list(SEARCH_PINS))
@@ -691,11 +807,39 @@ def test_sphere_search_is_pinned(name, d):
 
 @pytest.mark.parametrize("name, d", list(PARENT_PIN_VALUES))
 def test_pins_agree_with_the_parent_search(name, d):
-    new_hex, converged = SEARCH_PINS[name, d][:2]
-    old_hex, old_converged = PARENT_PIN_VALUES[name, d]
-    new, old = float.fromhex(new_hex), float.fromhex(old_hex)
-    assert abs(new - old) <= 1e-12 * max(1.0, abs(old))
-    assert converged or not old_converged
+    new = float.fromhex(SEARCH_PINS[name, d][0])
+    old = float.fromhex(PARENT_PIN_VALUES[name, d])
+    worse = old - new if name.startswith("wp") else new - old
+    assert worse <= 1e-12 * max(1.0, abs(old))
+
+
+def riemannian_gradient_norm(objective, est):
+    """||(I - x x^T) grad f|| at the witness, over both spheres for a pair, in real coordinates."""
+    zs = [est.witness[None]] + ([] if est.witness2 is None else [est.witness2[None]])
+    _, dz = objective.value_grad(*zs)
+    total = 0.0
+    for z, dfz in zip(zs, dz):
+        grad = 2.0 * dfz[0]  # (Re, Im) of the real gradient, as one complex vector
+        grad = grad - np.vdot(z[0], grad).real * z[0]
+        total += np.vdot(grad, grad).real
+    return math.sqrt(total)
+
+
+# the pair search that stopped at 0.0188 with converged=True before the
+# search took Newton steps; its infimum is about 5e-18, at a kink of |c|
+KINK_CASE = ("pair_bracket", 2, {"restarts": 4, "max_iters": 40, "seed": 1, "extra_forms": False})
+
+
+@pytest.mark.parametrize("name, d, kwargs", [(*key, {}) for key in SEARCH_PINS] + [KINK_CASE])
+def test_converged_means_stationary(name, d, kwargs):
+    objective, search = _pinned_problem(name, d, **kwargs)
+    est = search()
+    norm = riemannian_gradient_norm(objective, est)
+    tol = radius._GRAD_TOL * max(1.0, abs(est.value))
+    if est.converged:
+        assert norm <= tol
+    if kwargs:
+        assert not est.converged and est.value < 1e-3
 
 
 def test_rng_streams_are_stable():
